@@ -46,11 +46,14 @@ def parse_angle(text: str) -> float:
     if token in ANGLE_ALIASES:
         return ANGLE_ALIASES[token]
     try:
-        return float(token)
+        angle = float(token)
     except ValueError:
+        angle = math.nan  # rejected below along with nan and inf
+    if not math.isfinite(angle):
         raise ValidationError(
-            f"bad angle {text!r}: expected radians or one of {sorted(ANGLE_ALIASES)}"
-        ) from None
+            f"bad angle {text!r}: expected finite radians or one of {sorted(ANGLE_ALIASES)}"
+        )
+    return angle
 
 
 def parse_partition(text: str) -> PartitionSpec:
@@ -78,9 +81,12 @@ def default_seed() -> int:
     if raw is None:
         return 0
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise ValidationError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
+        seed = -1  # rejected below along with negative seeds
+    if seed < 0:
+        raise ValidationError(f"{SEED_ENV_VAR}={raw!r} is not a non-negative integer")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:

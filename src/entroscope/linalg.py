@@ -24,9 +24,6 @@ NORM_TOL = 1e-12
 PSD_CLAMP = -1e-10
 PURITY_TOL = 1e-9
 
-JACOBI_OFF_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 100
-
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product with complex dtype; factor dims multiply."""
@@ -40,6 +37,11 @@ def _as_dims(dims) -> tuple[int, ...]:
     if any(d < 2 for d in out):
         raise ValidationError(f"factor dims must each be >= 2, got {list(out)}")
     return out
+
+
+def _check_finite(a: np.ndarray, what: str) -> None:
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what} has NaN or infinite entries")
 
 
 def _hermitian_deviation(m: np.ndarray) -> float:
@@ -61,6 +63,7 @@ class PureState:
                 f"{amps.size} amplitudes do not fill factor dims {list(dims)} "
                 f"(product {math.prod(dims)})"
             )
+        _check_finite(amps, "amplitudes")
         norm2 = float(np.sum(np.abs(amps) ** 2))
         if abs(norm2 - 1.0) > NORM_TOL:
             raise ValidationError(
@@ -109,6 +112,7 @@ class DensityOperator:
                 f"matrix dimension {mat.shape[0]} does not match factor dims "
                 f"{list(dims)} (product {d})"
             )
+        _check_finite(mat, "density matrix")
         dev = _hermitian_deviation(mat)
         if dev > HERMITIAN_TOL:
             raise ValidationError(f"hermitian check failed: max deviation {dev:.3e}")
@@ -157,70 +161,33 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     return DensityOperator(t.reshape(d, d), kept_dims)
 
 
-def hermitian_eig(m, off_tol: float = JACOBI_OFF_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a complex Hermitian matrix by cyclic Jacobi sweeps.
+def hermitian_eig(m, eigvals_only: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a complex Hermitian matrix by LAPACK (numpy).
 
-    Rotations zero one off-diagonal pair at a time; sweeps repeat until the
-    off-diagonal Frobenius norm drops below `off_tol`.  Robust and simply
-    verified at the dimensions this package works with (<= 64).  Returns
-    eigenvalues in ascending order and the matching eigenvector columns,
-    so v @ diag(w) @ v.conj().T reconstructs the input.
+    LAPACK reads one triangle only, so the input is checked here first:
+    square, finite, and Hermitian within HERMITIAN_TOL.  Returns the
+    eigenvalues in ascending order and, unless `eigvals_only`, the matching
+    eigenvector columns, so v @ diag(w) @ v.conj().T reconstructs the input.
     """
-    a = np.array(m, dtype=complex)
+    a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    _check_finite(a, "matrix")
     dev = _hermitian_deviation(a)
     if dev > HERMITIAN_TOL:
         raise ValidationError(f"hermitian check failed: max deviation {dev:.3e}")
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return a.real.reshape(1).copy(), v
-    # Elements below `skip` cannot push the off-diagonal norm above off_tol:
-    # n*(n-1)/2 entries of magnitude < off_tol/n sum (doubled) below off_tol^2.
-    skip = off_tol / n
-    for _ in range(JACOBI_MAX_SWEEPS):
-        # Sum |a_pq|^2 over the actual off-diagonal entries; subtracting the
-        # diagonal from the total would cancel catastrophically near zero.
-        off_part = np.abs(a) ** 2
-        np.fill_diagonal(off_part, 0.0)
-        if math.sqrt(float(off_part.sum())) < off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r < skip:
-                    continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = (t * c) * phase
-                sc = s.conjugate()
-                col_p = a[:, p].copy()
-                a[:, p] = c * col_p - sc * a[:, q]
-                a[:, q] = s * col_p + c * a[:, q]
-                row_p = a[p, :].copy()
-                a[p, :] = c * row_p - s * a[q, :]
-                a[q, :] = sc * row_p + c * a[q, :]
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vcol_p = v[:, p].copy()
-                v[:, p] = c * vcol_p - sc * v[:, q]
-                v[:, q] = s * vcol_p + c * v[:, q]
-    else:
-        raise NumericalFaultError(
-            f"jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-        )
-    w = a.diagonal().real
-    order = np.argsort(w, kind="stable")
-    return w[order].copy(), v[:, order].copy()
+    try:
+        if eigvals_only:
+            return np.linalg.eigvalsh(a)
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFaultError(f"eigensolver failed: {exc}") from exc
+    return w, v
 
 
-def hermitian_eigenvalues(m, off_tol: float = JACOBI_OFF_TOL) -> np.ndarray:
+def hermitian_eigenvalues(m) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, ascending."""
-    return hermitian_eig(m, off_tol=off_tol)[0]
+    return hermitian_eig(m, eigvals_only=True)
 
 
 def purity(rho: DensityOperator) -> float:

@@ -90,6 +90,8 @@ class ScenarioConfig:
             )
         if self.shots < 0:
             raise ValidationError(f"shots must be >= 0, got {self.shots}")
+        if self.seed is not None and self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.scenario_id == "epr_measure" and (self.theta1 is None or self.theta2 is None):
             raise ValidationError("epr_measure needs theta1 and theta2")
         if self.scenario_id == "cat" and self.grouping not in CAT_GROUPINGS:

@@ -1,18 +1,78 @@
 """Independent oracles for the test suite.
 
 Everything here deliberately takes a different route than the package:
-eigenvalues come from LAPACK (the package runs Jacobi sweeps), partial
-traces from explicit index loops (the package reshapes and calls
-np.trace), Venn atoms from hand-solved inclusion-exclusion formulas
-(the package solves a dense linear system), and the characteristic
-polynomial from Faddeev-LeVerrier trace recursion (no eigensolver at
-all).  Agreement between the two routes is the point of the tests.
+eigendecompositions come from cyclic Jacobi sweeps (the package calls
+LAPACK through numpy; entropy_oracle shares LAPACK with it, and the
+eigensolver tests check that against Jacobi), partial traces from
+explicit index loops (the package reshapes and calls np.trace), Venn
+atoms from hand-solved inclusion-exclusion formulas (the package solves
+a dense linear system), and the characteristic polynomial from
+Faddeev-LeVerrier trace recursion (no eigensolver at all).  Agreement
+between the two routes is the point of the tests.
 """
 
 import math
 from itertools import product
 
 import numpy as np
+
+
+JACOBI_OFF_TOL = 1e-13
+JACOBI_MAX_SWEEPS = 100
+
+
+def jacobi_eig(m, off_tol: float = JACOBI_OFF_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a complex Hermitian matrix by cyclic Jacobi sweeps.
+
+    Rotations zero one off-diagonal pair at a time; sweeps repeat until the
+    off-diagonal Frobenius norm drops below `off_tol`.  Pure Python and
+    slow (about 0.5 s at d = 64), but shares no code with LAPACK.  Returns
+    eigenvalues in ascending order and the matching eigenvector columns.
+    The input is trusted to be square and Hermitian.
+    """
+    a = np.array(m, dtype=complex)
+    n = a.shape[0]
+    v = np.eye(n, dtype=complex)
+    if n == 1:
+        return a.real.reshape(1).copy(), v
+    # Elements below `skip` cannot push the off-diagonal norm above off_tol:
+    # n*(n-1)/2 entries of magnitude < off_tol/n sum (doubled) below off_tol^2.
+    skip = off_tol / n
+    for _ in range(JACOBI_MAX_SWEEPS):
+        # Sum |a_pq|^2 over the actual off-diagonal entries; subtracting the
+        # diagonal from the total would cancel catastrophically near zero.
+        off_part = np.abs(a) ** 2
+        np.fill_diagonal(off_part, 0.0)
+        if math.sqrt(float(off_part.sum())) < off_tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                r = abs(apq)
+                if r < skip:
+                    continue
+                phase = apq / r
+                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = (t * c) * phase
+                sc = s.conjugate()
+                col_p = a[:, p].copy()
+                a[:, p] = c * col_p - sc * a[:, q]
+                a[:, q] = s * col_p + c * a[:, q]
+                row_p = a[p, :].copy()
+                a[p, :] = c * row_p - s * a[q, :]
+                a[q, :] = sc * row_p + c * a[q, :]
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                vcol_p = v[:, p].copy()
+                v[:, p] = c * vcol_p - sc * v[:, q]
+                v[:, q] = s * vcol_p + c * v[:, q]
+    else:
+        raise AssertionError(f"jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps")
+    w = a.diagonal().real
+    order = np.argsort(w, kind="stable")
+    return w[order].copy(), v[:, order].copy()
 
 
 def eig_oracle(matrix) -> np.ndarray:

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from entroscope import epr_singlet, ghz, random_density
+from entroscope.cli import main
 from entroscope.report import serialize_state
 
 
@@ -138,3 +139,62 @@ def test_scenario_table_epr_singlet_rows():
     res = run_cli("scenario", "epr_pair")
     assert res.returncode == 0
     assert "L|R" in res.stdout and "-1.000000000" in res.stdout
+
+
+def run_main(capsys, *args):
+    """In-process CLI call: (exit code, stdout, stderr)."""
+    code = main(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("kind", ["pure", "density"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_state_entries_exit_2(tmp_path, capsys, monkeypatch, kind, fmt, bad):
+    if kind == "pure":
+        data = [[bad, 0.0], [1.0, 0.0]]
+    else:  # the NaN or Inf sits in a Hermitian pair of off-diagonals
+        data = [[0.5, 0.0], [bad, 0.0], [bad, 0.0], [0.5, 0.0]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": kind, "dims": [2], "data": data}))
+    monkeypatch.chdir(tmp_path)
+    for command in (("audit", "--state", "bad.json"),
+                    ("diagram", "--state", "bad.json", "--partition", "A=0")):
+        code, out, err = run_main(capsys, *command, "--format", fmt)
+        assert code == 2, err
+        assert out == ""
+        assert "NaN or infinite" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+def test_non_finite_angles_exit_2(capsys, fmt, token):
+    for args in (("chsh", f"--angles={token},0,0,0"),
+                 ("scenario", "epr_measure", f"--theta1={token}", "--theta2", "z")):
+        code, out, err = run_main(capsys, *args, "--format", fmt)
+        assert code == 2, err
+        assert out == ""
+        assert "bad angle" in err
+
+
+@pytest.mark.parametrize("args", [
+    ("chsh", "--scan", "3", "--seed", "-3"),
+    ("scenario", "epr_measure", "--theta1", "z", "--theta2", "z", "--shots", "10", "--seed", "-1"),
+    ("scenario", "epr_pair", "--seed", "-1"),
+])
+def test_negative_seed_flag_exits_2(capsys, args):
+    code, out, err = run_main(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert "seed must be >= 0" in err
+
+
+def test_negative_seed_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("ENTROSCOPE_SEED", "-3")
+    for args in (("chsh", "--scan", "3"),
+                 ("scenario", "epr_measure", "--theta1", "z", "--theta2", "z", "--shots", "10")):
+        code, out, err = run_main(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert "ENTROSCOPE_SEED='-3' is not a non-negative integer" in err

@@ -1,0 +1,117 @@
+"""Golden stdout: fixed CLI invocations compared byte for byte.
+
+The state files under golden/states/ are seeded and written with plain
+numpy, so no change to the package can change its own inputs.
+golden/out/ holds the stdout each invocation printed when the fixtures
+were captured.  A mismatch means the output changed; regenerate only
+for a change whose every differing byte is explained:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import json
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from entroscope.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> (kind, qubits, seed)
+STATES = {
+    "pure4": ("pure", 4, 401),
+    "pure6": ("pure", 6, 601),
+    "density4": ("density", 4, 402),
+    "density6": ("density", 6, 602),
+}
+
+PARTITIONS = {
+    4: ("A=0;B=1;C=2,3", None),
+    6: ("A=0,1;B=2,3;C=4,5", "A=0;B=1;C=2;D=3;E=4,5"),
+}
+
+
+def _state_cases():
+    for name, (_, n, _) in STATES.items():
+        diagram_part, audit_part = PARTITIONS[n]
+        path = f"states/{name}.json"
+        audit_extra = () if audit_part is None else ("--partition", audit_part)
+        for fmt in ("json", "table"):
+            yield f"diagram_{name}.{fmt}", (
+                "diagram", "--state", path, "--partition", diagram_part, "--format", fmt)
+            yield f"audit_{name}.{fmt}", (
+                "audit", "--state", path, *audit_extra, "--format", fmt)
+
+
+SCENARIO_CASES = {
+    "scenario_epr_pair.json": ("scenario", "epr_pair"),
+    "scenario_epr_measure.json": ("scenario", "epr_measure", "--theta1", "0.3",
+                                  "--theta2", "1.1", "--shots", "2000", "--seed", "5"),
+    "scenario_epr_measure_parallel.json": ("scenario", "epr_measure", "--theta1", "z",
+                                           "--theta2", "z"),
+    "scenario_cat.json": ("scenario", "cat", "--observer", "--grouping", "atom"),
+    "scenario_chsh.json": ("scenario", "chsh"),
+    "chsh_scan.json": ("chsh", "--scan", "100", "--seed", "7"),
+}
+
+CASES = dict(_state_cases())
+CASES.update({name: argv + ("--format", "json") for name, argv in SCENARIO_CASES.items()})
+
+
+def _state_text(kind: str, n: int, seed: int) -> str:
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    if kind == "pure":
+        g = rng.normal(size=d) + 1j * rng.normal(size=d)
+        data = g / np.linalg.norm(g)
+    else:
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = g @ g.conj().T
+        rho = (rho + rho.conj().T) / 2.0
+        data = (rho / np.trace(rho).real).reshape(-1)
+    pairs = [[float(z.real), float(z.imag)] for z in data]
+    return json.dumps({"kind": kind, "dims": [2] * n, "data": pairs}) + "\n"
+
+
+def _run(argv) -> tuple[int, str, str]:
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_stdout_matches_golden(name, monkeypatch):
+    monkeypatch.delenv("ENTROSCOPE_SEED", raising=False)
+    monkeypatch.chdir(GOLDEN)
+    code, out, err = _run(CASES[name])
+    assert code == 0, err
+    assert out == (GOLDEN / "out" / f"{name}.txt").read_text()
+
+
+def _write() -> None:
+    os.environ.pop("ENTROSCOPE_SEED", None)
+    (GOLDEN / "states").mkdir(parents=True, exist_ok=True)
+    (GOLDEN / "out").mkdir(parents=True, exist_ok=True)
+    for name, spec in STATES.items():
+        path = GOLDEN / "states" / f"{name}.json"
+        if not path.exists():  # inputs stay fixed once written
+            path.write_text(_state_text(*spec))
+    os.chdir(GOLDEN)
+    for name, argv in CASES.items():
+        code, out, err = _run(argv)
+        if code != 0:
+            raise SystemExit(f"{name}: exit {code}: {err}")
+        (GOLDEN / "out" / f"{name}.txt").write_text(out)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit(__doc__)
+    _write()

@@ -161,12 +161,13 @@ def test_eigenvalues_singlet_projector():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32])
 def test_eig_agrees_with_lapack_and_reconstructs(n):
+    # the library is LAPACK; the independent route is the Jacobi oracle
     rng = np.random.default_rng(n)
     for _ in range(4):
         a = helpers.random_hermitian(rng, n)
         w, v = hermitian_eig(a)
         assert np.all(np.diff(w) >= 0)
-        assert np.max(np.abs(w - helpers.eig_oracle(a))) < 1e-10
+        assert np.max(np.abs(w - helpers.jacobi_eig(a)[0])) < 1e-10
         assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - a)) < 1e-10
         assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-10
 
@@ -174,8 +175,38 @@ def test_eig_agrees_with_lapack_and_reconstructs(n):
 def test_eig_degenerate_spectra():
     for a in (np.eye(4), np.eye(8) / 8.0, np.diag([1.0, 1.0, 0.0, 0.0])):
         w, v = hermitian_eig(a)
-        assert np.max(np.abs(w - helpers.eig_oracle(a))) < 1e-12
+        assert np.max(np.abs(w - helpers.jacobi_eig(a)[0])) < 1e-12
         assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - a)) < 1e-12
+
+
+def test_non_finite_entries_are_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="amplitudes has NaN or infinite"):
+            PureState(np.array([bad, 1.0]), (2,))
+        m = np.array([[0.5, bad], [bad, 0.5]])
+        with pytest.raises(ValidationError, match="density matrix has NaN or infinite"):
+            DensityOperator(m, (2,))
+        with pytest.raises(ValidationError, match="matrix has NaN or infinite"):
+            hermitian_eig(m)
+        with pytest.raises(ValidationError, match="matrix has NaN or infinite"):
+            hermitian_eigenvalues(m)
+
+
+def test_eigenvalues_only_match_full_decomposition():
+    a = helpers.random_hermitian(np.random.default_rng(3), 16)
+    assert np.array_equal(hermitian_eigenvalues(a), hermitian_eig(a, eigvals_only=True))
+    assert np.max(np.abs(hermitian_eigenvalues(a) - hermitian_eig(a)[0])) < 1e-12
+
+
+def test_lapack_failure_is_a_numerical_fault(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    for eigvals_only in (False, True):
+        with pytest.raises(NumericalFaultError, match="eigensolver failed"):
+            hermitian_eig(np.eye(2), eigvals_only=eigvals_only)
 
 
 def test_eig_rejects_non_hermitian():
