@@ -51,14 +51,47 @@ class MeasurementSetup:
         return tuple(lbl for _, _, lbl in self.taps)
 
 
-@dataclass(frozen=True)
-class OutcomeRecord:
-    """One sampled shot: a bit per device, plus where it came from."""
+@dataclass(frozen=True, eq=False)
+class OutcomeRecords:
+    """Sampled shots as one array, plus where they came from.
 
-    shot: int
-    bits: tuple[int, ...]
+    outcomes[i] is shot i's outcome index, first device as the most
+    significant bit; shot i was drawn in chunk i // chunk_size, from the
+    chunk-th child of SeedSequence(seed).  One byte per shot for up to
+    eight devices.
+    """
+
+    outcomes: np.ndarray
     devices: tuple[str, ...]
-    lineage: tuple[int, int]  # (root seed, chunk index)
+    seed: int
+    chunk_size: int
+
+    def __len__(self) -> int:
+        return len(self.outcomes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OutcomeRecords):
+            return NotImplemented
+        return (
+            (self.devices, self.seed, self.chunk_size)
+            == (other.devices, other.seed, other.chunk_size)
+            and np.array_equal(self.outcomes, other.outcomes)
+        )
+
+    @property
+    def bits(self) -> np.ndarray:
+        """(shots, devices) array of 0/1, one column per device."""
+        shifts = np.arange(len(self.devices) - 1, -1, -1)
+        return ((self.outcomes[:, None] >> shifts) & 1).astype(np.uint8)
+
+    @property
+    def chunk_index(self) -> np.ndarray:
+        """The chunk, and so the SeedSequence child, each shot came from."""
+        return np.arange(len(self)) // self.chunk_size
+
+    def counts(self) -> np.ndarray:
+        """Shots per outcome index, length 2**devices."""
+        return np.bincount(self.outcomes, minlength=2 ** len(self.devices))
 
 
 def _apply_single(t: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
@@ -180,8 +213,8 @@ def sample_records(
     seed: int,
     chunk_size: int | None = None,
     devices=None,
-) -> list[OutcomeRecord]:
-    """Draw iid shots from outcome_probabilities.
+) -> OutcomeRecords:
+    """Draw iid shots from outcome_probabilities into one OutcomeRecords.
 
     Sampling is chunked: chunk i uses the i-th child of SeedSequence(seed),
     so the records depend only on (seed, shots, chunk_size) and chunks could
@@ -196,22 +229,17 @@ def sample_records(
     labels = _device_subset(setup, devices)
     p = outcome_probabilities(post, setup, devices=labels)
     p = p / p.sum()
-    width = len(labels)
     n_chunks = -(-shots // chunk)
     children = np.random.SeedSequence(seed).spawn(n_chunks)
-    records: list[OutcomeRecord] = []
-    shot = 0
-    for ci, child in enumerate(children):
-        take = min(chunk, shots - ci * chunk)
-        rng = np.random.default_rng(child)
-        draws = rng.choice(len(p), size=take, p=p)
-        for d in draws:
-            bits = tuple((int(d) >> (width - 1 - i)) & 1 for i in range(width))
-            records.append(
-                OutcomeRecord(shot=shot, bits=bits, devices=labels, lineage=(int(seed), ci))
-            )
-            shot += 1
-    return records
+    try:  # ValueError: more shots than an array can index
+        outcomes = np.empty(shots, dtype=np.min_scalar_type(len(p) - 1))
+        for ci, child in enumerate(children):
+            take = min(chunk, shots - ci * chunk)
+            rng = np.random.default_rng(child)
+            outcomes[ci * chunk : ci * chunk + take] = rng.choice(len(p), size=take, p=p)
+    except (MemoryError, ValueError):
+        raise ValidationError(f"{shots} shots are too many to hold in memory") from None
+    return OutcomeRecords(outcomes=outcomes, devices=labels, seed=int(seed), chunk_size=chunk)
 
 
 def correlator(theta_1: float, theta_2: float) -> float:
@@ -233,3 +261,22 @@ def chsh_value(a: float, a_prime: float, b: float, b_prime: float) -> float:
         + correlator(a_prime, b)
         + correlator(a_prime, b_prime)
     )
+
+
+def chsh_values(quads) -> np.ndarray:
+    """chsh_value for each row (a, a', b, b') of an (N, 4) angle array.
+
+    Evaluates the same singlet expectations as correlator, batched: the
+    observables form an (N, 4, 2, 2) array and one einsum gives all 4N
+    correlators.
+    """
+    quads = np.asarray(quads, dtype=float)
+    if quads.ndim != 2 or quads.shape[1] != 4:
+        raise ValidationError(f"chsh_values needs an (N, 4) angle array, got shape {quads.shape}")
+    psi = epr_singlet().amplitudes.reshape(2, 2)
+    cos, sin = np.cos(quads), np.sin(quads)
+    # obs[n, i] = spin_observable(quads[n, i]) = cos * PAULI_Z + sin * PAULI_X
+    obs = np.empty(quads.shape + (2, 2))
+    obs[..., 0, 0], obs[..., 0, 1], obs[..., 1, 0], obs[..., 1, 1] = cos, sin, sin, -cos
+    e = np.einsum("ij,npik,nqjl,kl->npq", psi.conj(), obs[:, :2], obs[:, 2:], psi).real
+    return e[:, 0, 0] - e[:, 0, 1] + e[:, 1, 0] + e[:, 1, 1]

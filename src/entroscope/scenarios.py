@@ -31,6 +31,7 @@ from .measurement import (
     TSIRELSON_BOUND,
     MeasurementSetup,
     chsh_value,
+    chsh_values,
     device_joints,
     device_partition,
     full_partition,
@@ -50,6 +51,8 @@ ORTHODOX_WARNING = (
     "the same particle at once; no five-variable classical model supports both"
 )
 _ORTHODOX_MATCH_TOL = 1e-6
+# Scan quadruples drawn and evaluated per block; keeps scan memory flat in N.
+_SCAN_BLOCK = 65_536
 
 # Textbook expectations for the two device arrangements, as static data.
 # These describe what a classical record of the measurements would look
@@ -149,7 +152,9 @@ def run_epr_pair() -> DiagramReport:
 def _orthodox_case_for(theta1: float, theta2: float) -> str | None:
     z, x = 0.0, math.pi / 2.0
     def near(a, b):
-        return abs(a - b) <= _ORTHODOX_MATCH_TOL
+        # distance between axes: theta and theta + pi are the same axis
+        d = abs(a - b) % math.pi
+        return min(d, math.pi - d) <= _ORTHODOX_MATCH_TOL
     if near(theta1, z) and near(theta2, z):
         return "parallel"
     if (near(theta1, z) and near(theta2, x)) or (near(theta1, x) and near(theta2, z)):
@@ -188,9 +193,7 @@ def _sampled_block(post, setup, shots: int, seed: int, chunk_size: int | None,
     records = sample_records(post, setup, shots=shots, seed=seed, chunk_size=chunk_size)
     labels = setup.device_labels
     width = len(labels)
-    counts = {format(i, f"0{width}b"): 0 for i in range(2**width)}
-    for rec in records:
-        counts["".join(str(b) for b in rec.bits)] += 1
+    counts = {format(i, f"0{width}b"): int(n) for i, n in enumerate(records.counts())}
     freqs = {k: v / shots for k, v in counts.items()}
     joint_p = np.array(list(freqs.values()))
     entropies: dict[str, float] = {}
@@ -361,11 +364,15 @@ def run_chsh(
     if scan_points > 0:
         used_seed = 0 if seed is None else int(seed)
         rng = np.random.default_rng(used_seed)
+        points = int(scan_points)
         best = 0.0
-        for quad in rng.uniform(0.0, 2.0 * math.pi, size=(int(scan_points), 4)):
-            best = max(best, abs(chsh_value(*quad)))
+        # consecutive uniform calls continue one stream, so blocking leaves
+        # the draws, and hence the maximum, as a single call would give them
+        for start in range(0, points, _SCAN_BLOCK):
+            quads = rng.uniform(0.0, 2.0 * math.pi, size=(min(_SCAN_BLOCK, points - start), 4))
+            best = max(best, float(np.max(np.abs(chsh_values(quads)))))
         block["scan"] = {
-            "points": int(scan_points),
+            "points": points,
             "seed": used_seed,
             "max_abs_value": best,
         }

@@ -6,12 +6,15 @@ LAPACK through numpy; entropy_oracle shares LAPACK with it, and the
 eigensolver tests check that against Jacobi), partial traces from
 explicit index loops (the package reshapes and calls np.trace), Venn
 atoms from hand-solved inclusion-exclusion formulas (the package solves
-a dense linear system), and the characteristic polynomial from
-Faddeev-LeVerrier trace recursion (no eigensolver at all).  Agreement
+a dense linear system), the characteristic polynomial from
+Faddeev-LeVerrier trace recursion (no eigensolver at all), and sampled
+records from a per-shot loop over the same seeded draws (the package
+fills one outcome array).  Agreement
 between the two routes is the point of the tests.
 """
 
 import math
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -161,6 +164,40 @@ def resum_joints(atoms: dict) -> dict:
         u: sum(v for t, v in atoms.items() if set(t) & set(u))
         for u in atoms
     }
+
+
+@dataclass(frozen=True)
+class LoopRecord:
+    """One sampled shot: a bit per device, plus where it came from."""
+
+    shot: int
+    bits: tuple[int, ...]
+    devices: tuple[str, ...]
+    lineage: tuple[int, int]  # (root seed, chunk index)
+
+
+def sample_records_loop(post, setup, shots, seed, chunk_size=None, devices=None) -> list:
+    """One LoopRecord per shot, drawn with the same per-chunk rng.choice
+    calls as measurement.sample_records and unpacked bit by bit."""
+    from entroscope.measurement import outcome_probabilities
+
+    chunk = shots if chunk_size is None else chunk_size
+    labels = tuple(d for d in setup.device_labels if devices is None or d in devices)
+    p = outcome_probabilities(post, setup, devices=labels)
+    p = p / p.sum()
+    width = len(labels)
+    children = np.random.SeedSequence(seed).spawn(-(-shots // chunk))
+    records = []
+    shot = 0
+    for ci, child in enumerate(children):
+        take = min(chunk, shots - ci * chunk)
+        rng = np.random.default_rng(child)
+        draws = rng.choice(len(p), size=take, p=p)
+        for d in draws:
+            bits = tuple((int(d) >> (width - 1 - i)) & 1 for i in range(width))
+            records.append(LoopRecord(shot=shot, bits=bits, devices=labels, lineage=(int(seed), ci)))
+            shot += 1
+    return records
 
 
 def singlet_expectation(x: float, y: float) -> float:

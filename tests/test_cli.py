@@ -198,3 +198,15 @@ def test_negative_seed_env_exits_2(capsys, monkeypatch):
         assert code == 2
         assert out == ""
         assert "ENTROSCOPE_SEED='-3' is not a non-negative integer" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("shots", [10**15, 10**24])
+def test_unallocatable_shots_exit_2(capsys, fmt, shots):
+    # both fail at allocation, before any page is touched: 10**15 bytes
+    # exceed the address space, 10**24 elements exceed any array's index
+    code, out, err = run_main(capsys, "scenario", "epr_measure", "--theta1", "z",
+                              "--theta2", "x", "--shots", str(shots), "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {shots} shots are too many to hold in memory\n"

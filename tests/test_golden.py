@@ -60,8 +60,22 @@ SCENARIO_CASES = {
     "chsh_scan.json": ("chsh", "--scan", "100", "--seed", "7"),
 }
 
+# Sampled and scanned runs, pinned in both formats: large enough that the
+# shot counts and the scan maximum exercise many draws of the seeded stream.
+BOTH_FORMAT_CASES = {
+    "scenario_epr_measure_oblique": ("scenario", "epr_measure", "--theta1", "0.7",
+                                     "--theta2", "2.3", "--shots", "300000", "--seed", "11"),
+    "chsh_scan_large": ("chsh", "--scan", "10000", "--seed", "13"),
+    "chsh_angles_scan1": ("chsh", "--angles", "0.1,0.2,0.3,0.4", "--scan", "1"),
+}
+
 CASES = dict(_state_cases())
 CASES.update({name: argv + ("--format", "json") for name, argv in SCENARIO_CASES.items()})
+CASES.update({
+    f"{name}.{fmt}": argv + ("--format", fmt)
+    for name, argv in BOTH_FORMAT_CASES.items()
+    for fmt in ("json", "table")
+})
 
 
 def _state_text(kind: str, n: int, seed: int) -> str:

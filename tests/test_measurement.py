@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from entroscope import (
@@ -10,6 +12,7 @@ from entroscope import (
     PureState,
     ValidationError,
     chsh_value,
+    chsh_values,
     correlator,
     device_joints,
     device_partition,
@@ -173,13 +176,17 @@ def test_sample_records_deterministic_per_seed():
 def test_sample_records_shape_and_lineage():
     post = premeasure(epr_singlet(), parallel_setup())
     records = sample_records(post, parallel_setup(), shots=100, seed=1, chunk_size=32)
+    loop = helpers.sample_records_loop(post, parallel_setup(), shots=100, seed=1, chunk_size=32)
     assert len(records) == 100
-    assert [r.shot for r in records] == list(range(100))
-    for r in records:
-        assert r.devices == ("A1", "A2")
-        assert len(r.bits) == 2
-        assert r.lineage == (1, r.shot // 32)
-        assert r.bits in ((0, 1), (1, 0))  # parallel devices anticorrelate
+    assert [r.shot for r in loop] == list(range(100))
+    assert records.devices == ("A1", "A2")
+    assert records.bits.shape == (100, 2)
+    # shot order: row i of the array is shot i of the loop
+    assert [tuple(row) for row in records.bits.tolist()] == [r.bits for r in loop]
+    assert records.seed == 1
+    assert records.chunk_index.tolist() == [shot // 32 for shot in range(100)]
+    assert [(records.seed, int(c)) for c in records.chunk_index] == [r.lineage for r in loop]
+    assert set(map(tuple, records.bits.tolist())) <= {(0, 1), (1, 0)}  # parallel devices anticorrelate
 
 
 def test_sample_records_deterministic_distribution():
@@ -187,14 +194,55 @@ def test_sample_records_deterministic_distribution():
     setup = MeasurementSetup.of((0, 0.0, "A"))
     post = premeasure(zero, setup)
     records = sample_records(post, setup, shots=50, seed=3)
-    assert all(r.bits == (0,) for r in records)
+    assert records.bits.tolist() == [[0]] * 50
+    assert records.counts().tolist() == [50, 0]
 
 
 def test_sample_records_frequencies_converge():
     post = premeasure(epr_singlet(), parallel_setup())
     records = sample_records(post, parallel_setup(), shots=20000, seed=8)
-    n01 = sum(1 for r in records if r.bits == (0, 1))
+    n01 = int(np.sum((records.bits == (0, 1)).all(axis=1)))
+    assert n01 == records.counts()[0b01]
     assert n01 / 20000 == pytest.approx(0.5, abs=0.02)
+
+
+@st.composite
+def shots_and_chunk(draw):
+    """Shots with no chunking, a chunk size dividing them, or any chunk size."""
+    shots = draw(st.integers(1, 5000))
+    divisors = [d for d in range(1, shots + 1) if shots % d == 0]
+    chunk = draw(st.one_of(st.none(), st.sampled_from(divisors), st.integers(1, shots + 100)))
+    return shots, chunk
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shots_chunk=shots_and_chunk(),
+    seed=st.integers(0, 2**63 - 1),
+    angles=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
+)
+def test_sample_records_match_per_shot_loop(shots_chunk, seed, angles):
+    shots, chunk = shots_chunk
+    setup = MeasurementSetup.of((0, angles[0], "A1"), (1, angles[1], "A2"))
+    post = premeasure(epr_singlet(), setup)
+    records = sample_records(post, setup, shots=shots, seed=seed, chunk_size=chunk)
+    loop = helpers.sample_records_loop(post, setup, shots=shots, seed=seed, chunk_size=chunk)
+    assert len(records) == len(loop) == shots
+    assert [tuple(row) for row in records.bits.tolist()] == [r.bits for r in loop]
+    assert [(records.seed, int(c)) for c in records.chunk_index] == [r.lineage for r in loop]
+    assert all(r.devices == records.devices for r in loop)
+    counts = records.counts()
+    assert counts.tolist() == [sum(1 for r in loop if r.bits == b) for b in ((0, 0), (0, 1), (1, 0), (1, 1))]
+
+
+def test_sample_records_device_subset_packs_bits_in_tap_order():
+    setup = MeasurementSetup.of((0, 0.3, "A1"), (1, 1.2, "A2"))
+    post = premeasure(epr_singlet(), setup)
+    records = sample_records(post, setup, shots=500, seed=4, chunk_size=77, devices=["A2"])
+    loop = helpers.sample_records_loop(post, setup, shots=500, seed=4, chunk_size=77, devices=["A2"])
+    assert records.devices == ("A2",)
+    assert records.bits.tolist() == [list(r.bits) for r in loop]
+    assert len(records.counts()) == 2
 
 
 def test_sample_records_validation():
@@ -203,6 +251,9 @@ def test_sample_records_validation():
         sample_records(post, parallel_setup(), shots=0, seed=0)
     with pytest.raises(ValidationError, match="chunk_size"):
         sample_records(post, parallel_setup(), shots=5, seed=0, chunk_size=0)
+    # a records array this long cannot be allocated, so nothing is touched
+    with pytest.raises(ValidationError, match="too many"):
+        sample_records(post, parallel_setup(), shots=10**15, seed=0)
 
 
 def test_correlator_analytic():
@@ -232,3 +283,20 @@ def test_chsh_deterministic_strategies_respect_bound():
     values = helpers.deterministic_chsh_values()
     assert len(values) == 16
     assert max(abs(v) for v in values) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 257])
+def test_chsh_values_match_scalar_chsh_value(n):
+    rng = np.random.default_rng(1000 + n)
+    quads = rng.uniform(-4 * math.pi, 4 * math.pi, size=(n, 4))
+    values = chsh_values(quads)
+    assert values.shape == (n,)
+    for quad, v in zip(quads, values):
+        assert v == pytest.approx(chsh_value(*quad), abs=1e-12)
+
+
+def test_chsh_values_rejects_bad_shape():
+    with pytest.raises(ValidationError, match="N, 4"):
+        chsh_values(np.zeros((3, 3)))
+    with pytest.raises(ValidationError, match="N, 4"):
+        chsh_values(np.zeros(4))

@@ -19,8 +19,9 @@ from entroscope import (
     run_epr_pair,
     run_scenario,
 )
+from entroscope import scenarios
 from entroscope.entropy import PartitionSpec
-from entroscope.measurement import TSIRELSON_BOUND
+from entroscope.measurement import TSIRELSON_BOUND, chsh_value
 from entroscope.report import report_document, serialize_document
 from entroscope.scenarios import ORTHODOX_LABEL
 
@@ -95,6 +96,16 @@ def test_orthodox_attachment_tolerance():
     assert run_epr_measure(1e-7, 0.0).orthodox is not None
     assert run_epr_measure(1e-3, 0.0).orthodox is None
     assert run_epr_measure(0.0, ORTHOGONAL - 1e-7).orthodox is not None
+
+
+def test_orthodox_attachment_wraps_angles_mod_pi():
+    # theta and theta + pi are one axis: 3.14159265 is z to within 4e-9
+    rep = run_epr_measure(3.14159265, 0.0)
+    assert rep.orthodox is not None and rep.orthodox["case"] == "parallel"
+    rep = run_epr_measure(math.pi - 1e-7, ORTHOGONAL)
+    assert rep.orthodox is not None and rep.orthodox["case"] == "orthogonal"
+    assert run_epr_measure(ORTHOGONAL, -2e-7).orthodox["case"] == "orthogonal"
+    assert run_epr_measure(math.pi - 1e-3, 0.0).orthodox is None
 
 
 def test_orthodox_reference_blocks():
@@ -188,6 +199,15 @@ def test_chsh_scan_reproducible_and_bounded():
     assert a.chsh["scan"] == b.chsh["scan"]
     assert a.chsh["scan"]["points"] == 200
     assert a.chsh["scan"]["max_abs_value"] <= TSIRELSON_BOUND + 1e-9
+
+
+def test_chsh_scan_blocks_continue_one_stream(monkeypatch):
+    one_block = run_chsh(scan_points=100, seed=3).chsh["scan"]
+    monkeypatch.setattr(scenarios, "_SCAN_BLOCK", 7)
+    assert run_chsh(scan_points=100, seed=3).chsh["scan"] == one_block
+    quads = np.random.default_rng(3).uniform(0.0, 2 * math.pi, size=(100, 4))
+    best = max(abs(chsh_value(*q)) for q in quads)
+    assert one_block["max_abs_value"] == pytest.approx(best, abs=1e-12)
 
 
 def test_chsh_validates_angle_count():
