@@ -12,14 +12,9 @@ import math
 import os
 import sys
 
-from .entropy import (
-    PartitionSpec,
-    audit_inequalities,
-    grouped_entropies,
-    ternary_center,
-    venn_atoms,
-)
+from .entropy import PartitionSpec, ternary_center
 from .errors import NumericalFaultError, ValidationError
+from .linalg import PureState
 from .report import (
     diagram_document,
     load_state,
@@ -135,47 +130,34 @@ def _emit_doc(doc: dict, fmt: str) -> None:
 
 
 def _cmd_scenario(args) -> int:
+    """scenario and chsh: flags -> ScenarioConfig -> run_scenario."""
+    if args.command == "chsh":
+        fields = {"scenario_id": "chsh", "scan_points": args.scan}
+        if args.angles is not None:
+            tokens = [t for t in args.angles.split(",") if t.strip()]
+            if len(tokens) != 4:
+                raise ValidationError(f"--angles needs 4 comma-separated values, got {len(tokens)}")
+            fields["angles"] = tuple(parse_angle(t) for t in tokens)
+    else:
+        fields = {
+            "scenario_id": args.scenario_id,
+            "theta1": args.theta1,
+            "theta2": args.theta2,
+            "shots": args.shots,
+            "grouping": args.grouping,
+            "with_observer": args.observer,
+        }
     seed = args.seed if args.seed is not None else default_seed()
-    config = ScenarioConfig(
-        scenario_id=args.scenario_id,
-        theta1=args.theta1,
-        theta2=args.theta2,
-        shots=args.shots,
-        seed=seed,
-        grouping=args.grouping,
-        with_observer=args.observer,
-    )
-    report = run_scenario(config)
+    report = run_scenario(ScenarioConfig(seed=seed, **fields))
     _emit_doc(report_document(report), args.format)
     return 0
 
 
-def _state_bundle(path: str, partition: PartitionSpec) -> tuple[DiagramBundle, float | None]:
-    state = load_state(path)
-    rho = state.to_density() if hasattr(state, "to_density") else state
-    joints = grouped_entropies(rho, partition)
-    venn = venn_atoms(joints)
-    audit = audit_inequalities(joints)
-    bundle = DiagramBundle(
-        party_factors=tuple((n, tuple(sorted(fs))) for n, fs in partition.parties),
-        venn=venn,
-        audit=audit,
-    )
-    center = ternary_center(venn) if len(venn.parties) == 3 else None
-    return bundle, center
-
-
-def _cmd_diagram(args) -> int:
-    bundle, center = _state_bundle(args.state, parse_partition(args.partition))
-    _emit_doc(diagram_document(args.state, bundle, center), args.format)
-    return 0
-
-
-def _cmd_audit(args) -> int:
+def _cmd_state(args) -> int:
+    """diagram and audit: one state file, one partition, one diagram."""
+    partition = None if args.partition is None else parse_partition(args.partition)
     state = load_state(args.state)
-    if args.partition is not None:
-        partition = parse_partition(args.partition)
-    else:
+    if partition is None:
         n = len(state.dims)
         if n > 5:
             raise ValidationError(
@@ -184,32 +166,18 @@ def _cmd_audit(args) -> int:
         partition = PartitionSpec(
             tuple((f"F{i}", frozenset({i})) for i in range(n))
         )
-    bundle, center = _state_bundle(args.state, partition)
+    rho = state.to_density() if isinstance(state, PureState) else state
+    bundle = DiagramBundle.of(rho, partition)
+    center = ternary_center(bundle.venn) if len(bundle.venn.parties) == 3 else None
     _emit_doc(diagram_document(args.state, bundle, center), args.format)
-    return 0
-
-
-def _cmd_chsh(args) -> int:
-    angles = None
-    if args.angles is not None:
-        tokens = [t for t in args.angles.split(",") if t.strip()]
-        if len(tokens) != 4:
-            raise ValidationError(f"--angles needs 4 comma-separated values, got {len(tokens)}")
-        angles = tuple(parse_angle(t) for t in tokens)
-    seed = args.seed if args.seed is not None else default_seed()
-    config = ScenarioConfig(
-        scenario_id="chsh", angles=angles, scan_points=args.scan, seed=seed
-    )
-    report = run_scenario(config)
-    _emit_doc(report_document(report), args.format)
     return 0
 
 
 _COMMANDS = {
     "scenario": _cmd_scenario,
-    "diagram": _cmd_diagram,
-    "chsh": _cmd_chsh,
-    "audit": _cmd_audit,
+    "diagram": _cmd_state,
+    "chsh": _cmd_scenario,
+    "audit": _cmd_state,
 }
 
 

@@ -23,6 +23,8 @@ ATOM_RESIDUAL_TOL = 1e-9
 INEQ_SLACK = 1e-9
 
 MAX_PARTIES = 5
+# Subset keys join party names with ",", table labels with ":" and "|".
+NAME_SEPARATORS = ",:|"
 
 Subset = tuple[str, ...]
 
@@ -84,6 +86,10 @@ class PartitionSpec:
             raise ValidationError(f"duplicate party names in {names}")
         seen: set[int] = set()
         for name, fs in parties:
+            if any(c in name for c in NAME_SEPARATORS):
+                raise ValidationError(
+                    f"party name {name!r} contains one of {list(NAME_SEPARATORS)}"
+                )
             if not fs:
                 raise ValidationError(f"party {name!r} has no factors")
             if seen & fs:
@@ -254,7 +260,9 @@ class InequalityAudit:
 
     Monotonicity can fail for quantum states and is reported, not raised.
     Subadditivity, triangle, and strong subadditivity hold for every
-    quantum state, so a violation raises instead of returning."""
+    quantum state, so a violation raises instead of returning, and the
+    three `*_ok` fields are always True.  Reports of schema 1.0.0 carry
+    every field, as keys in this order."""
 
     monotonicity_violated: tuple[tuple[Subset, Subset], ...]
     subadditivity_ok: bool

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .entropy import InequalityAudit, VennDiagram
+from .entropy import VennDiagram
 from .errors import ValidationError
 from .linalg import DensityOperator, PureState
 from .scenarios import DiagramBundle, DiagramReport
@@ -96,127 +96,67 @@ def parse_document(text: str) -> dict:
     return doc
 
 
-def _subset_key(subset: tuple[str, ...]) -> str:
-    return ",".join(subset)
-
-
-def _audit_block(audit: InequalityAudit) -> dict:
-    def slack(v):
-        return None if v is None else q9(v)
-
-    return {
-        "monotonicity_violated": [
-            {"subset": _subset_key(a), "superset": _subset_key(b)}
-            for a, b in audit.monotonicity_violated
-        ],
-        "subadditivity_ok": audit.subadditivity_ok,
-        "subadditivity_worst_slack": slack(audit.subadditivity_worst_slack),
-        "triangle_ok": audit.triangle_ok,
-        "triangle_worst_slack": slack(audit.triangle_worst_slack),
-        "strong_subadditivity_ok": audit.strong_subadditivity_ok,
-        "strong_subadditivity_worst_slack": slack(audit.strong_subadditivity_worst_slack),
-    }
-
-
-def _diagram_block(bundle: DiagramBundle) -> dict:
-    venn = bundle.venn
-    return {
-        "parties": list(venn.parties),
-        "factors": {name: list(factors) for name, factors in bundle.party_factors},
-        "joints": {_subset_key(s): q9(v) for s, v in venn.joints.items()},
-        "atoms": {_subset_key(s): q9(v) for s, v in venn.atoms.items()},
-        "audit": _audit_block(bundle.audit),
-    }
-
-
-def _orthodox_block(orthodox: dict) -> dict:
-    return {
-        "case": orthodox["case"],
-        "label": orthodox["label"],
-        "parties": list(orthodox["parties"]),
-        "joints": {_subset_key(s): q9(v) for s, v in orthodox["joints"].items()},
-        "atoms": {_subset_key(s): q9(v) for s, v in orthodox["atoms"].items()},
-        "consistent": orthodox["consistent"],
-        "warning": orthodox["warning"],
-    }
-
-
-def _sampled_block(sampled: dict) -> dict:
-    out = {
-        "shots": sampled["shots"],
-        "seed": sampled["seed"],
-        "chunk_size": sampled["chunk_size"],
-        "devices": list(sampled["devices"]),
-        "counts": dict(sampled["counts"]),
-        "frequencies": {k: q9(v) for k, v in sampled["frequencies"].items()},
-        "entropies": {k: q9(v) for k, v in sampled["entropies"].items()},
-    }
-    if "mutual" in sampled:
-        out["mutual"] = q9(sampled["mutual"])
-        out["exact_mutual"] = q9(sampled["exact_mutual"])
-    return out
-
-
-def _chsh_block(chsh: dict) -> dict:
-    out = {
-        "angles": [q9(a) for a in chsh["angles"]],
-        "value": q9(chsh["value"]),
-        "abs_value": q9(chsh["abs_value"]),
-        "classical_bound": q9(chsh["classical_bound"]),
-        "tsirelson_bound": q9(chsh["tsirelson_bound"]),
-        "violates_classical": chsh["violates_classical"],
-    }
-    if "scan" in chsh:
-        scan = chsh["scan"]
-        out["scan"] = {
-            "points": scan["points"],
-            "seed": scan["seed"],
-            "max_abs_value": q9(scan["max_abs_value"]),
+def _canonical(value):
+    """The document form of a report value: every float quantized by q9,
+    tuples as lists, and tuple subset keys joined as "A,B"."""
+    if isinstance(value, float):
+        return q9(value)
+    if isinstance(value, (list, tuple)):
+        return [_canonical(v) for v in value]
+    if isinstance(value, dict):
+        return {
+            ",".join(k) if isinstance(k, tuple) else k: _canonical(v)
+            for k, v in value.items()
         }
-    return out
+    return value
 
 
-def _parameters_block(parameters: dict) -> dict:
-    out = {}
-    for key, value in parameters.items():
-        if isinstance(value, float):
-            out[key] = q9(value)
-        elif isinstance(value, (list, tuple)):
-            out[key] = [q9(v) if isinstance(v, float) else v for v in value]
-        else:
-            out[key] = value
-    return out
+def _diagram_block(bundle: DiagramBundle | None) -> dict | None:
+    if bundle is None:
+        return None
+    audit = bundle.audit
+    return {
+        "parties": bundle.venn.parties,
+        "factors": dict(bundle.party_factors),
+        "joints": bundle.venn.joints,
+        "atoms": bundle.venn.atoms,
+        "audit": {
+            **vars(audit),
+            "monotonicity_violated": [
+                {"subset": ",".join(a), "superset": ",".join(b)}
+                for a, b in audit.monotonicity_violated
+            ],
+        },
+    }
 
 
 def report_document(report: DiagramReport) -> dict:
     """The canonical JSON-ready form of a scenario report."""
-    return {
+    return _canonical({
         "schema_version": SCHEMA_VERSION,
         "tool_version": report.tool_version,
         "scenario": report.scenario,
-        "parameters": _parameters_block(report.parameters),
+        "parameters": report.parameters,
         "seed": report.seed,
-        "diagram": _diagram_block(report.diagram) if report.diagram else None,
-        "reduced_diagram": _diagram_block(report.reduced) if report.reduced else None,
-        "ternary_center": None if report.ternary_center is None else q9(report.ternary_center),
-        "q_devices_mutual": (
-            None if report.q_devices_mutual is None else q9(report.q_devices_mutual)
-        ),
-        "sampled": _sampled_block(report.sampled) if report.sampled else None,
-        "orthodox": _orthodox_block(report.orthodox) if report.orthodox else None,
-        "chsh": _chsh_block(report.chsh) if report.chsh else None,
-    }
+        "diagram": _diagram_block(report.diagram),
+        "reduced_diagram": _diagram_block(report.reduced),
+        "ternary_center": report.ternary_center,
+        "q_devices_mutual": report.q_devices_mutual,
+        "sampled": report.sampled,
+        "orthodox": report.orthodox,
+        "chsh": report.chsh,
+    })
 
 
 def diagram_document(source: str, bundle: DiagramBundle, center: float | None) -> dict:
     """Document for the CLI diagram/audit commands over a state file."""
-    return {
+    return _canonical({
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "state_file": source,
         "diagram": _diagram_block(bundle),
-        "ternary_center": None if center is None else q9(center),
-    }
+        "ternary_center": center,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -319,39 +259,24 @@ def render_venn_table(diagram: VennDiagram) -> str:
     diagrams fall back to a plain subset listing.  Atom values always
     carry an explicit sign.
     """
-    if len(diagram.parties) <= 3:
-        rows = [
-            (_region_label(subset, diagram.parties), value)
-            for subset, value in diagram.atoms.items()
-        ]
-    else:
-        rows = [(_subset_key(subset), value) for subset, value in diagram.atoms.items()]
+    return "\n".join(_atoms_table(_canonical(diagram.atoms), diagram.parties))
+
+
+def _two_columns(rows, label_head: str, value_head: str, spec: str) -> list[str]:
     width = max(len(label) for label, _ in rows)
-    lines = [f"{'region':<{width}}  atom (bits)"]
+    lines = [f"{label_head:<{width}}  {value_head}"]
     for label, value in rows:
-        lines.append(f"{label:<{width}}  {q9(value):+.9f}")
-    return "\n".join(lines)
-
-
-def _joints_table(joints: dict[str, float]) -> list[str]:
-    width = max(len(k) for k in joints)
-    lines = [f"{'subset':<{width}}  entropy (bits)"]
-    for key, value in joints.items():
-        lines.append(f"{key:<{width}}  {value:.9f}")
+        lines.append(f"{label:<{width}}  {value:{spec}}")
     return lines
 
 
-def _atoms_table(atoms: dict[str, float], parties: list[str]) -> list[str]:
+def _atoms_table(atoms: dict[str, float], parties) -> list[str]:
     names = tuple(parties)
     if len(names) <= 3:
         rows = [(_region_label(tuple(k.split(",")), names), v) for k, v in atoms.items()]
     else:
         rows = list(atoms.items())
-    width = max(len(label) for label, _ in rows)
-    lines = [f"{'region':<{width}}  atom (bits)"]
-    for label, value in rows:
-        lines.append(f"{label:<{width}}  {value:+.9f}")
-    return lines
+    return _two_columns(rows, "region", "atom (bits)", "+.9f")
 
 
 def _audit_lines(audit: dict) -> list[str]:
@@ -367,12 +292,12 @@ def _audit_lines(audit: dict) -> list[str]:
         ("triangle", "triangle"),
         ("strong_subadditivity", "strong subadditivity"),
     ):
-        ok = audit[f"{name}_ok"]
+        # a violation raises before any document exists, so a slack means ok
         slack = audit[f"{name}_worst_slack"]
         if slack is None:
             lines.append(f"{label}: not applicable")
         else:
-            lines.append(f"{label}: {'ok' if ok else 'VIOLATED'} (worst slack {slack:.9f})")
+            lines.append(f"{label}: ok (worst slack {slack:.9f})")
     return lines
 
 
@@ -381,7 +306,7 @@ def _diagram_lines(title: str, block: dict) -> list[str]:
         f"{name}={','.join(str(f) for f in fs)}" for name, fs in block["factors"].items()
     )
     lines = [title, f"parties: {factors}", ""]
-    lines += _joints_table(block["joints"])
+    lines += _two_columns(block["joints"].items(), "subset", "entropy (bits)", ".9f")
     lines.append("")
     lines += _atoms_table(block["atoms"], block["parties"])
     lines.append("")
@@ -459,19 +384,12 @@ def _orthodox_lines(block: dict) -> list[str]:
 
 
 def _chsh_lines(block: dict) -> list[str]:
+    verdict = "violates" if block["violates_classical"] else "within"
     lines = [
         f"CHSH S = {block['value']:.9f}  (|S| = {block['abs_value']:.9f})",
+        f"{verdict} classical bound {block['classical_bound']:g} "
+        f"(Tsirelson bound {block['tsirelson_bound']:.9f})",
     ]
-    if block["violates_classical"]:
-        lines.append(
-            f"violates classical bound {block['classical_bound']:g} "
-            f"(Tsirelson bound {block['tsirelson_bound']:.9f})"
-        )
-    else:
-        lines.append(
-            f"within classical bound {block['classical_bound']:g} "
-            f"(Tsirelson bound {block['tsirelson_bound']:.9f})"
-        )
     if "scan" in block:
         scan = block["scan"]
         lines.append(

@@ -19,7 +19,6 @@ from .entropy import (
     VennDiagram,
     audit_inequalities,
     grouped_entropies,
-    joint_entropies,
     mutual_entropy,
     shannon_entropy,
     ternary_center,
@@ -32,7 +31,6 @@ from .measurement import (
     MeasurementSetup,
     chsh_value,
     chsh_values,
-    device_joints,
     device_partition,
     full_partition,
     premeasure,
@@ -53,6 +51,9 @@ ORTHODOX_WARNING = (
 _ORTHODOX_MATCH_TOL = 1e-6
 # Scan quadruples drawn and evaluated per block; keeps scan memory flat in N.
 _SCAN_BLOCK = 65_536
+# Longest accepted scan: about 3 minutes at the ~1.7 us per point measured
+# on a 2-vCPU host.  Without a cap a mistyped N runs for years.
+MAX_SCAN_POINTS = 10**8
 
 # Textbook expectations for the two device arrangements, as static data.
 # These describe what a classical record of the measurements would look
@@ -73,7 +74,11 @@ _ORTHODOX_ATOMS = {
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Parameters for one scenario run; validated per scenario_id."""
+    """Parameters for one scenario run; validated per scenario_id.
+
+    The cat grouping and the CHSH angle count are checked by run_cat and
+    run_chsh, which library callers reach without a config.
+    """
 
     scenario_id: str
     theta1: float | None = None
@@ -97,14 +102,12 @@ class ScenarioConfig:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.scenario_id == "epr_measure" and (self.theta1 is None or self.theta2 is None):
             raise ValidationError("epr_measure needs theta1 and theta2")
-        if self.scenario_id == "cat" and self.grouping not in CAT_GROUPINGS:
-            raise ValidationError(
-                f"grouping must be one of {list(CAT_GROUPINGS)}, got {self.grouping!r}"
-            )
-        if self.angles is not None and len(self.angles) != 4:
-            raise ValidationError(f"chsh needs 4 angles, got {len(self.angles)}")
         if self.scan_points < 0:
             raise ValidationError(f"scan points must be >= 0, got {self.scan_points}")
+        if self.scan_points > MAX_SCAN_POINTS:
+            raise ValidationError(
+                f"scan points must be <= {MAX_SCAN_POINTS}, got {self.scan_points}"
+            )
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,17 @@ class DiagramBundle:
     party_factors: tuple[tuple[str, tuple[int, ...]], ...]
     venn: VennDiagram
     audit: InequalityAudit
+
+    @classmethod
+    def of(cls, rho, partition: PartitionSpec) -> "DiagramBundle":
+        """Joints, atoms and audit of `rho` under `partition`; factors the
+        partition leaves out are traced out first."""
+        joints = grouped_entropies(rho, partition)
+        return cls(
+            party_factors=tuple((n, tuple(sorted(fs))) for n, fs in partition.parties),
+            venn=venn_atoms(joints),
+            audit=audit_inequalities(joints),
+        )
 
 
 @dataclass(frozen=True)
@@ -133,19 +147,10 @@ class DiagramReport:
     tool_version: str = __version__
 
 
-def _bundle(rho_state, partition: PartitionSpec) -> DiagramBundle:
-    joints = joint_entropies(rho_state, partition)
-    return DiagramBundle(
-        party_factors=tuple((n, tuple(sorted(fs))) for n, fs in partition.parties),
-        venn=venn_atoms(joints),
-        audit=audit_inequalities(joints),
-    )
-
-
 def run_epr_pair() -> DiagramReport:
     """Venn diagram of the bare singlet under the (L, R) split."""
     state = epr_singlet()
-    bundle = _bundle(state.to_density(), PartitionSpec.of(L=[0], R=[1]))
+    bundle = DiagramBundle.of(state.to_density(), PartitionSpec.of(L=[0], R=[1]))
     return DiagramReport(scenario="epr_pair", parameters={}, diagram=bundle)
 
 
@@ -239,24 +244,12 @@ def run_epr_measure(
     post = premeasure(epr_singlet(), setup)
     rho = post.to_density()
 
-    full_part = full_partition(post, setup, system_label="Q")
-    joints = joint_entropies(rho, full_part)
-    full_bundle = DiagramBundle(
-        party_factors=tuple((n, tuple(sorted(fs))) for n, fs in full_part.parties),
-        venn=venn_atoms(joints),
-        audit=audit_inequalities(joints),
-    )
+    full_bundle = DiagramBundle.of(rho, full_partition(post, setup, system_label="Q"))
     center = ternary_center(full_bundle.venn)
-    q_dev = mutual_entropy(joints, "Q", ("A1", "A2"))
+    q_dev = mutual_entropy(full_bundle.venn.joints, "Q", ("A1", "A2"))
 
-    dev_part = device_partition(post, setup)
-    dev_joints = device_joints(post, setup, dev_part)
-    dev_bundle = DiagramBundle(
-        party_factors=tuple((n, tuple(sorted(fs))) for n, fs in dev_part.parties),
-        venn=venn_atoms(dev_joints),
-        audit=audit_inequalities(dev_joints),
-    )
-    exact_mutual = mutual_entropy(dev_joints, "A1", "A2")
+    dev_bundle = DiagramBundle.of(rho, device_partition(post, setup))
+    exact_mutual = mutual_entropy(dev_bundle.venn.joints, "A1", "A2")
 
     sampled = None
     used_seed = seed
@@ -304,12 +297,8 @@ def run_cat(with_observer: bool, grouping: str = "atom_gamma") -> DiagramReport:
     else:
         partition = PartitionSpec((("atomic", atomic), ("cat", cat_side)))
 
-    joints = joint_entropies(rho, partition)
-    bundle = DiagramBundle(
-        party_factors=tuple((n, tuple(sorted(fs))) for n, fs in partition.parties),
-        venn=venn_atoms(joints),
-        audit=audit_inequalities(joints),
-    )
+    bundle = DiagramBundle.of(rho, partition)
+    joints = bundle.venn.joints
 
     center = None
     reduced = None
@@ -317,12 +306,7 @@ def run_cat(with_observer: bool, grouping: str = "atom_gamma") -> DiagramReport:
         center = ternary_center(bundle.venn)
         q_dev = mutual_entropy(joints, "atomic", ("cat", "observer"))
         pair_part = PartitionSpec((("cat", cat_side), ("observer", frozenset({3}))))
-        pair_joints = grouped_entropies(rho, pair_part)
-        reduced = DiagramBundle(
-            party_factors=tuple((n, tuple(sorted(fs))) for n, fs in pair_part.parties),
-            venn=venn_atoms(pair_joints),
-            audit=audit_inequalities(pair_joints),
-        )
+        reduced = DiagramBundle.of(rho, pair_part)
     else:
         q_dev = mutual_entropy(joints, "atomic", "cat")
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from entroscope import epr_singlet, ghz, random_density
+from entroscope import DensityOperator, cli, epr_singlet, ghz, random_density, scenarios
 from entroscope.cli import main
 from entroscope.report import serialize_state
 
@@ -210,3 +210,50 @@ def test_unallocatable_shots_exit_2(capsys, fmt, shots):
     assert code == 2
     assert out == ""
     assert err == f"error: {shots} shots are too many to hold in memory\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("partition", ["A=0;B=1;A,B=2,3", "A:B=0;C=1,2,3", "A|B=0,1;C=2,3"])
+def test_party_names_with_separators_exit_2(tmp_path, capsys, monkeypatch, fmt, partition):
+    # "A,B" used to collide with the subset key of A and B: exit 0 with
+    # one of the seven joints silently dropped from the JSON map
+    (tmp_path / "ghz4.json").write_text(serialize_state(ghz(4)))
+    monkeypatch.chdir(tmp_path)
+    for command in ("diagram", "audit"):
+        code, out, err = run_main(capsys, command, "--state", "ghz4.json",
+                                  "--partition", partition, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: party name ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_scan_over_the_cap_exits_2(capsys, monkeypatch, fmt):
+    def no_scan(quads):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(scenarios, "chsh_values", no_scan)
+    points = 10**17
+    code, out, err = run_main(capsys, "chsh", "--scan", str(points), "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: scan points must be <= {scenarios.MAX_SCAN_POINTS}, got {points}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("diagram", "--partition", "A=0;B=1"),
+    ("audit",),
+    ("audit", "--partition", "A=1"),
+])
+def test_state_commands_load_and_check_the_file_once(tmp_path, capsys, monkeypatch, args):
+    (tmp_path / "rho.json").write_text(serialize_state(random_density((2, 2), seed=5)))
+    monkeypatch.chdir(tmp_path)
+    loads, checks = [], []
+    load_state, validate_psd = cli.load_state, DensityOperator.validate_psd
+    monkeypatch.setattr(cli, "load_state", lambda path: loads.append(path) or load_state(path))
+    monkeypatch.setattr(DensityOperator, "validate_psd",
+                        lambda self: checks.append(self) or validate_psd(self))
+    code, out, err = run_main(capsys, args[0], "--state", "rho.json", *args[1:])
+    assert code == 0, err
+    assert loads == ["rho.json"]
+    assert len(checks) == 1

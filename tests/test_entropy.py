@@ -83,6 +83,14 @@ def test_partition_spec_validation():
         joint_entropies(rho, PartitionSpec.of(A=[0], B=[1]))  # misses factor 2
 
 
+@pytest.mark.parametrize("name", ["A,B", "A:B", "A|B", ",", "|A"])
+def test_partition_spec_rejects_separators_in_names(name):
+    # "," joins subset keys and ":" / "|" build table labels, so such a
+    # name would collide with another party's subset or garble its label
+    with pytest.raises(ValidationError, match="party name"):
+        PartitionSpec(((name, frozenset({0})), ("C", frozenset({1}))))
+
+
 def test_joint_entropies_epr():
     joints = joint_entropies(epr_singlet().to_density(), EPR_PARTITION)
     assert joints[("L",)] == pytest.approx(1.0, abs=1e-9)

@@ -3,10 +3,14 @@
 The state files under golden/states/ are seeded and written with plain
 numpy, so no change to the package can change its own inputs.
 golden/out/ holds the stdout each invocation printed when the fixtures
-were captured.  A mismatch means the output changed; regenerate only
-for a change whose every differing byte is explained:
+were captured.  A mismatch means the output changed.
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+writes only the fixtures that are missing, so adding a case never
+re-pins the bytes of an existing one.  To regenerate a fixture on
+purpose, for a change whose every differing byte is explained, delete
+its file first.
 """
 
 import json
@@ -36,6 +40,10 @@ PARTITIONS = {
     6: ("A=0,1;B=2,3;C=4,5", "A=0;B=1;C=2;D=3;E=4,5"),
 }
 
+# Further diagram partitions on the 4-qubit files: two parties, and a
+# partial partition whose uncovered factors are traced out first.
+EXTRA_DIAGRAMS = {"2party": "A=0,1;B=2,3", "partial": "X=1;Y=3"}
+
 
 def _state_cases():
     for name, (_, n, _) in STATES.items():
@@ -47,26 +55,43 @@ def _state_cases():
                 "diagram", "--state", path, "--partition", diagram_part, "--format", fmt)
             yield f"audit_{name}.{fmt}", (
                 "audit", "--state", path, *audit_extra, "--format", fmt)
+            if n == 4:
+                for tag, part in EXTRA_DIAGRAMS.items():
+                    yield f"diagram_{name}_{tag}.{fmt}", (
+                        "diagram", "--state", path, "--partition", part, "--format", fmt)
 
 
 SCENARIO_CASES = {
-    "scenario_epr_pair.json": ("scenario", "epr_pair"),
     "scenario_epr_measure.json": ("scenario", "epr_measure", "--theta1", "0.3",
                                   "--theta2", "1.1", "--shots", "2000", "--seed", "5"),
-    "scenario_epr_measure_parallel.json": ("scenario", "epr_measure", "--theta1", "z",
-                                           "--theta2", "z"),
-    "scenario_cat.json": ("scenario", "cat", "--observer", "--grouping", "atom"),
-    "scenario_chsh.json": ("scenario", "chsh"),
     "chsh_scan.json": ("chsh", "--scan", "100", "--seed", "7"),
 }
 
-# Sampled and scanned runs, pinned in both formats: large enough that the
-# shot counts and the scan maximum exercise many draws of the seeded stream.
+# Pinned in both formats.  The sampled and scanned runs are large enough
+# that the shot counts and the scan maximum exercise many draws of the
+# seeded stream; the rest cover each scenario's flag combinations.
 BOTH_FORMAT_CASES = {
+    "scenario_epr_pair": ("scenario", "epr_pair"),
+    "scenario_chsh": ("scenario", "chsh"),
+    "scenario_epr_measure_parallel": ("scenario", "epr_measure", "--theta1", "z",
+                                      "--theta2", "z"),
+    "scenario_epr_measure_orthogonal": ("scenario", "epr_measure", "--theta1", "z",
+                                        "--theta2", "x"),
+    "scenario_epr_measure_near_pi": ("scenario", "epr_measure", "--theta1", "3.14159265",
+                                     "--theta2", "0"),
+    "scenario_epr_measure_default_seed": ("scenario", "epr_measure", "--theta1", "0.4",
+                                          "--theta2", "1.9", "--shots", "1000"),
     "scenario_epr_measure_oblique": ("scenario", "epr_measure", "--theta1", "0.7",
                                      "--theta2", "2.3", "--shots", "300000", "--seed", "11"),
+    "scenario_cat": ("scenario", "cat", "--observer", "--grouping", "atom"),
+    "scenario_cat_observer_atom_gamma": ("scenario", "cat", "--observer",
+                                         "--grouping", "atom_gamma"),
+    "scenario_cat_bare_atom": ("scenario", "cat", "--grouping", "atom"),
+    "scenario_cat_bare_atom_gamma": ("scenario", "cat", "--grouping", "atom_gamma"),
     "chsh_scan_large": ("chsh", "--scan", "10000", "--seed", "13"),
     "chsh_angles_scan1": ("chsh", "--angles", "0.1,0.2,0.3,0.4", "--scan", "1"),
+    "chsh_angles_aliases": ("chsh", "--angles", "z,x,0.5,2"),
+    "chsh_angles_within": ("chsh", "--angles", "0,0,0,0"),
 }
 
 CASES = dict(_state_cases())
@@ -119,10 +144,13 @@ def _write() -> None:
             path.write_text(_state_text(*spec))
     os.chdir(GOLDEN)
     for name, argv in CASES.items():
+        path = GOLDEN / "out" / f"{name}.txt"
+        if path.exists():  # fixtures stay fixed once written; delete to re-pin
+            continue
         code, out, err = _run(argv)
         if code != 0:
             raise SystemExit(f"{name}: exit {code}: {err}")
-        (GOLDEN / "out" / f"{name}.txt").write_text(out)
+        path.write_text(out)
 
 
 if __name__ == "__main__":

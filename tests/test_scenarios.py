@@ -232,6 +232,32 @@ def test_scenario_config_validation():
         ScenarioConfig(scenario_id="epr_pair", shots=-1)
 
 
+def test_scan_points_are_capped():
+    cap = scenarios.MAX_SCAN_POINTS
+    assert ScenarioConfig(scenario_id="chsh", scan_points=cap).scan_points == cap
+    for points in (cap + 1, 10**17):
+        with pytest.raises(ValidationError, match=f"scan points must be <= {cap}, got {points}"):
+            ScenarioConfig(scenario_id="chsh", scan_points=points)
+
+
+def test_config_leaves_grouping_and_angle_count_to_the_scenario():
+    with pytest.raises(ValidationError, match="grouping must be one of"):
+        run_scenario(ScenarioConfig(scenario_id="cat", grouping="photon"))
+    with pytest.raises(ValidationError, match="chsh needs 4 angles, got 3"):
+        run_scenario(ScenarioConfig(scenario_id="chsh", angles=(0.0, 1.0, 2.0)))
+
+
+def test_diagram_bundle_of_traces_out_uncovered_factors():
+    rho = ghz(4).to_density()
+    bundle = scenarios.DiagramBundle.of(rho, PartitionSpec.of(X=[3], Y=[1]))
+    assert bundle.party_factors == (("X", (3,)), ("Y", (1,)))
+    assert bundle.venn.joints == pytest.approx({("X",): 1.0, ("Y",): 1.0, ("X", "Y"): 1.0})
+    assert bundle.venn.atoms[("X", "Y")] == pytest.approx(1.0)
+    assert bundle.audit.monotonicity_violated == ()
+    full = scenarios.DiagramBundle.of(rho, PartitionSpec.of(X=[0, 2, 3], Y=[1]))
+    assert full.venn.joints == joint_entropies(rho, PartitionSpec.of(X=[0, 2, 3], Y=[1]))
+
+
 def test_reports_are_reproducible():
     def doc():
         rep = run_epr_measure(0.3, 1.1, shots=500, seed=9)
