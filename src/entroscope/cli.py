@@ -34,6 +34,16 @@ SEED_ENV_VAR = "ENTROSCOPE_SEED"
 
 ANGLE_ALIASES = {"z": 0.0, "x": math.pi / 2.0}
 
+# Scenario flags by ScenarioConfig field, with the one scenario that reads
+# each; giving one to any other scenario is an error, not a no-op.
+_SCENARIO_FLAGS = {
+    "theta1": ("--theta1", "epr_measure"),
+    "theta2": ("--theta2", "epr_measure"),
+    "shots": ("--shots", "epr_measure"),
+    "grouping": ("--grouping", "cat"),
+    "with_observer": ("--observer", "cat"),
+}
+
 
 def parse_angle(text: str) -> float:
     """Radians, or the aliases z (0) and x (pi/2)."""
@@ -96,11 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("scenario_id", choices=SCENARIO_IDS)
     sc.add_argument("--theta1", type=parse_angle, help="first device angle (radians, or z|x)")
     sc.add_argument("--theta2", type=parse_angle, help="second device angle (radians, or z|x)")
-    sc.add_argument("--shots", type=int, default=0, help="sample this many shots (0 = exact only)")
+    sc.add_argument("--shots", type=int, help="sample this many shots (default 0 = exact only)")
     sc.add_argument("--seed", type=int, default=None, help=f"sampling seed (default {SEED_ENV_VAR} or 0)")
-    sc.add_argument("--grouping", choices=("atom", "atom_gamma"), default="atom_gamma",
-                    help="which factors form the atomic party in the cat scenario")
-    sc.add_argument("--observer", action="store_true", help="include the observer factor (cat scenario)")
+    sc.add_argument("--grouping", choices=("atom", "atom_gamma"),
+                    help="which factors form the atomic party in the cat scenario (default atom_gamma)")
+    sc.add_argument("--observer", action="store_true", default=None, dest="with_observer",
+                    help="include the observer factor (cat scenario)")
     sc.add_argument("--format", choices=("json", "table"), default="table")
 
     dg = sub.add_parser("diagram", help="Venn diagram of a state file under a partition")
@@ -139,14 +150,12 @@ def _cmd_scenario(args) -> int:
                 raise ValidationError(f"--angles needs 4 comma-separated values, got {len(tokens)}")
             fields["angles"] = tuple(parse_angle(t) for t in tokens)
     else:
-        fields = {
-            "scenario_id": args.scenario_id,
-            "theta1": args.theta1,
-            "theta2": args.theta2,
-            "shots": args.shots,
-            "grouping": args.grouping,
-            "with_observer": args.observer,
-        }
+        given = {f: getattr(args, f) for f in _SCENARIO_FLAGS if getattr(args, f) is not None}
+        stray = [flag for f, (flag, owner) in _SCENARIO_FLAGS.items()
+                 if f in given and owner != args.scenario_id]
+        if stray:
+            raise ValidationError(f"scenario {args.scenario_id} does not use {', '.join(stray)}")
+        fields = {"scenario_id": args.scenario_id, **given}
     seed = args.seed if args.seed is not None else default_seed()
     report = run_scenario(ScenarioConfig(seed=seed, **fields))
     _emit_doc(report_document(report), args.format)

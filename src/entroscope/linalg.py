@@ -117,7 +117,7 @@ class DensityOperator:
         if dev > HERMITIAN_TOL:
             raise ValidationError(f"hermitian check failed: max deviation {dev:.3e}")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:  # a trace summed to nan fails too
             raise ValidationError(f"trace = {tr.real:.6g} != 1 (tolerance {TRACE_TOL})")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)

@@ -19,6 +19,12 @@ from .states import BasisAngle, basis_rotation, epr_singlet, spin_observable
 
 CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
+# Most shots one sample_records call accepts: 1 GB of records, about 40 s
+# of drawing.  Larger counts fail up front instead of risking the OOM killer.
+MAX_SHOTS = 10**9
+# Shots drawn, or counted, per numpy call: about 1 MB of float64 uniforms
+# plus int64 indices, so temporaries stay flat in the number of shots.
+_DRAW_BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -58,7 +64,7 @@ class OutcomeRecords:
     outcomes[i] is shot i's outcome index, first device as the most
     significant bit; shot i was drawn in chunk i // chunk_size, from the
     chunk-th child of SeedSequence(seed).  One byte per shot for up to
-    eight devices.
+    eight devices, the only memory that grows with the shots.
     """
 
     outcomes: np.ndarray
@@ -90,8 +96,14 @@ class OutcomeRecords:
         return np.arange(len(self)) // self.chunk_size
 
     def counts(self) -> np.ndarray:
-        """Shots per outcome index, length 2**devices."""
-        return np.bincount(self.outcomes, minlength=2 ** len(self.devices))
+        """Shots per outcome index, length 2**devices.
+
+        bincount widens its input to intp, so it runs one block at a time.
+        """
+        total = np.zeros(2 ** len(self.devices), dtype=np.intp)
+        for start in range(0, len(self), _DRAW_BLOCK):
+            total += np.bincount(self.outcomes[start : start + _DRAW_BLOCK], minlength=len(total))
+        return total
 
 
 def _apply_single(t: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
@@ -219,26 +231,33 @@ def sample_records(
     Sampling is chunked: chunk i uses the i-th child of SeedSequence(seed),
     so the records depend only on (seed, shots, chunk_size) and chunks could
     be drawn in any order or in parallel without changing the result.
+    Within a chunk the draws come in blocks of _DRAW_BLOCK shots; consecutive
+    choice calls continue one stream of uniforms, so the blocks match one
+    call over the whole chunk.
     """
     shots = int(shots)
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
+    if shots > MAX_SHOTS:
+        raise ValidationError(f"{shots} shots are too many to hold in memory")
     chunk = shots if chunk_size is None else int(chunk_size)
     if chunk < 1:
         raise ValidationError(f"chunk_size must be >= 1, got {chunk}")
     labels = _device_subset(setup, devices)
     p = outcome_probabilities(post, setup, devices=labels)
     p = p / p.sum()
-    n_chunks = -(-shots // chunk)
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    try:  # ValueError: more shots than an array can index
+    try:
         outcomes = np.empty(shots, dtype=np.min_scalar_type(len(p) - 1))
-        for ci, child in enumerate(children):
-            take = min(chunk, shots - ci * chunk)
-            rng = np.random.default_rng(child)
-            outcomes[ci * chunk : ci * chunk + take] = rng.choice(len(p), size=take, p=p)
-    except (MemoryError, ValueError):
+    except MemoryError:
         raise ValidationError(f"{shots} shots are too many to hold in memory") from None
+    root = np.random.SeedSequence(seed)
+    for start in range(0, shots, chunk):
+        # spawning one child per chunk gives the children spawn(n_chunks) would
+        rng = np.random.default_rng(root.spawn(1)[0])
+        stop = min(start + chunk, shots)
+        for lo in range(start, stop, _DRAW_BLOCK):
+            hi = min(lo + _DRAW_BLOCK, stop)
+            outcomes[lo:hi] = rng.choice(len(p), size=hi - lo, p=p)
     return OutcomeRecords(outcomes=outcomes, devices=labels, seed=int(seed), chunk_size=chunk)
 
 

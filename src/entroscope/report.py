@@ -171,21 +171,24 @@ def load_state(path) -> PureState | DensityOperator:
     """
     p = Path(path)
     try:
-        raw = p.read_text()
+        raw = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"{p}: cannot read: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{p}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{p}: invalid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
+        raise ValidationError(f"{p}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{p}: expected a JSON object")
 
     kind = doc.get("kind")
     if kind not in ("pure", "density"):
         raise ValidationError(f"{p}: kind: expected 'pure' or 'density', got {kind!r}")
+    # type() rather than isinstance: JSON true/false load as bool, an int subclass
     dims = doc.get("dims")
-    if not isinstance(dims, list) or not dims or not all(isinstance(d, int) for d in dims):
+    if not isinstance(dims, list) or not dims or not all(type(d) is int for d in dims):
         raise ValidationError(f"{p}: dims: expected a nonempty list of integers")
     data = doc.get("data")
     if not isinstance(data, list):
@@ -196,24 +199,27 @@ def load_state(path) -> PureState | DensityOperator:
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not all(isinstance(x, (int, float)) for x in entry)
+            or not all(type(x) in (int, float) for x in entry)
         ):
             raise ValidationError(f"{p}: data[{i}]: expected [re, im]")
-        values[i] = complex(entry[0], entry[1])
+        try:
+            values[i] = complex(entry[0], entry[1])
+        except OverflowError:
+            raise ValidationError(f"{p}: data[{i}]: number too large for a float") from None
 
     d = math.prod(dims)
-    if kind == "pure":
-        if len(data) != d:
-            raise ValidationError(
-                f"{p}: data: {len(data)} amplitudes but dims {dims} need {d}"
-            )
-        return PureState(values, tuple(dims))
-    if len(data) != d * d:
-        raise ValidationError(
-            f"{p}: data: {len(data)} entries but dims {dims} need {d * d}"
-        )
-    rho = DensityOperator(values.reshape(d, d), tuple(dims))
-    rho.validate_psd()
+    need = d if kind == "pure" else d * d
+    if len(data) != need:
+        what = "amplitudes" if kind == "pure" else "entries"
+        raise ValidationError(f"{p}: data: {len(data)} {what} but dims {dims} need {need}")
+    # huge finite entries overflow the norm, trace or Hermitian deviation to
+    # inf or nan, which the checks reject; numpy's warnings would only add
+    # stderr lines
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "pure":
+            return PureState(values, tuple(dims))
+        rho = DensityOperator(values.reshape(d, d), tuple(dims))
+        rho.validate_psd()
     return rho
 
 

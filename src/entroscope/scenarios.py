@@ -49,8 +49,9 @@ ORTHODOX_WARNING = (
     "the same particle at once; no five-variable classical model supports both"
 )
 _ORTHODOX_MATCH_TOL = 1e-6
-# Scan quadruples drawn and evaluated per block; keeps scan memory flat in N.
-_SCAN_BLOCK = 65_536
+# Scan quadruples drawn and evaluated per block: about 1.2 MB of angles,
+# observables and correlators, flat in N.
+_SCAN_BLOCK = 4_096
 # Longest accepted scan: about 3 minutes at the ~1.7 us per point measured
 # on a 2-vCPU host.  Without a cap a mistyped N runs for years.
 MAX_SCAN_POINTS = 10**8

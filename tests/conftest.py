@@ -15,6 +15,7 @@ ACCEPTANCE = {
     10: "Monte Carlo mutual within 0.01 bits; bit-identical records",
     11: "property suites: Mobius, SSA, pure complement, basis invariance",
     12: "CLI JSON byte-identical across runs",
+    13: "memory bounded in --shots and --scan",
 }
 
 _NODE_RE = re.compile(r"test_acceptance\.py::test_c(\d{2})")

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,3 +222,27 @@ def test_c12_cli_output_is_byte_identical():
     first, second = run_once(), run_once()
     assert first == second
     assert json.loads(first)["scenario"] == "epr_pair"
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes numpy and Python allocate while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_c13_memory_bounded_in_shots_and_scan():
+    # one byte of records per shot is the only O(N) memory; draws,
+    # counts and scan blocks each hold about 1 MB however large N is
+    mb = 2**20
+    setup = MeasurementSetup.of((0, 0.7, "A1"), (1, 2.3, "A2"))
+    post = premeasure(epr_singlet(), setup)
+    for shots in (300_000, 1_000_000):
+        peak = _traced_peak(lambda: sample_records(post, setup, shots=shots, seed=3).counts())
+        assert peak <= shots + 2 * mb, f"{shots} shots peaked at {peak} bytes"
+
+    peak = _traced_peak(lambda: run_chsh(scan_points=200_000, seed=5))
+    assert peak <= 2 * mb, f"a 200,000-point scan peaked at {peak} bytes"

@@ -1,13 +1,21 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entroscope import DensityOperator, cli, epr_singlet, ghz, random_density, scenarios
 from entroscope.cli import main
+from entroscope.measurement import MAX_SHOTS
 from entroscope.report import serialize_state
 
 
@@ -203,13 +211,146 @@ def test_negative_seed_env_exits_2(capsys, monkeypatch):
 @pytest.mark.parametrize("fmt", ["json", "table"])
 @pytest.mark.parametrize("shots", [10**15, 10**24])
 def test_unallocatable_shots_exit_2(capsys, fmt, shots):
-    # both fail at allocation, before any page is touched: 10**15 bytes
-    # exceed the address space, 10**24 elements exceed any array's index
+    # both are over MAX_SHOTS, so they fail before anything is allocated
     code, out, err = run_main(capsys, "scenario", "epr_measure", "--theta1", "z",
                               "--theta2", "x", "--shots", str(shots), "--format", fmt)
     assert code == 2
     assert out == ""
     assert err == f"error: {shots} shots are too many to hold in memory\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_shots_over_the_cap_exit_2_before_drawing(capsys, monkeypatch, fmt):
+    # 10**9 + 1 bytes of records could be allocated, and a larger count
+    # might pass np.empty and then be killed for memory; the cap comes first
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drawing started")
+
+    monkeypatch.setattr(np.random, "SeedSequence", no_draw)
+    shots = MAX_SHOTS + 1
+    code, out, err = run_main(capsys, "scenario", "epr_measure", "--theta1", "z",
+                              "--theta2", "x", "--shots", str(shots), "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {shots} shots are too many to hold in memory\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("args, stray", [
+    (("epr_pair", "--shots", "5", "--theta1", "z"), "--theta1, --shots"),
+    (("epr_pair", "--shots", "0"), "--shots"),
+    (("epr_pair", "--observer"), "--observer"),
+    (("chsh", "--grouping", "atom_gamma"), "--grouping"),
+    (("chsh", "--theta1", "0", "--theta2", "0"), "--theta1, --theta2"),
+    (("cat", "--observer", "--theta2", "x"), "--theta2"),
+    (("cat", "--shots", "10"), "--shots"),
+    (("epr_measure", "--theta1", "z", "--theta2", "x", "--grouping", "atom", "--observer"),
+     "--grouping, --observer"),
+])
+def test_scenario_flags_that_do_not_apply_exit_2(capsys, fmt, args, stray):
+    code, out, err = run_main(capsys, "scenario", *args, "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: scenario {args[0]} does not use {stray}\n"
+
+
+_HUGE_INT = "1" + "0" * 400  # a valid JSON integer, too large for a float
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("content, message", [
+    (b'\xff\xfe{"kind": "pure"}', "not UTF-8 text: invalid start byte at byte 0"),
+    (f'{{"kind": "pure", "dims": [2], "data": [[{_HUGE_INT}, 0], [0, 0]]}}'.encode(),
+     "data[0]: number too large for a float"),
+    (b'{"kind": "pure", "dims": [2], "data": [[true, false], [0, 0]]}', "data[0]: expected [re, im]"),
+    (b'{"kind": "pure", "dims": [true, 2], "data": [[1, 0], [0, 0]]}',
+     "dims: expected a nonempty list of integers"),
+    (f'{{"kind": "pure", "dims": [2], "data": [[1{"0" * 5000}, 0]]}}'.encode(), "invalid JSON: "),
+    (b"[" * 100_000 + b"]" * 100_000, "invalid JSON: "),
+])
+def test_malformed_state_files_exit_2(tmp_path, capsys, monkeypatch, fmt, content, message):
+    (tmp_path / "bad.json").write_bytes(content)
+    monkeypatch.chdir(tmp_path)
+    for command in (("audit", "--state", "bad.json"),
+                    ("diagram", "--state", "bad.json", "--partition", "A=0")):
+        code, out, err = run_main(capsys, *command, "--format", fmt)
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith(f"error: bad.json: {message}") and err.count("\n") == 1
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.sampled_from([10**400, -(10**400)]) | st.text(max_size=4))
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def state_documents(draw):
+    """Mostly well-formed state documents: small dims, data of the right
+    length (a valid state scaled, or random numbers), now and then one
+    field replaced by any JSON value."""
+    kind = draw(st.sampled_from(["pure", "density"]))
+    dims = draw(st.lists(st.sampled_from([2, 2, 2, 3, 1, 0]), min_size=1, max_size=3)
+                .filter(lambda ds: math.prod(ds) <= 8))
+    d = max(math.prod(dims), 1)
+    if draw(st.integers(0, 3)):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        if kind == "pure":
+            flat = g[0] / np.linalg.norm(g[0])
+        else:
+            rho = g @ g.conj().T
+            flat = (rho / np.trace(rho).real).reshape(-1)
+        if not draw(st.integers(0, 2)):
+            flat = flat * draw(st.floats(allow_nan=False))
+        data = [[float(z.real), float(z.imag)] for z in flat]
+    else:
+        n = d if kind == "pure" else d * d
+        number = st.floats() | st.integers(-2, 2) | st.booleans()
+        data = draw(st.lists(st.lists(number, min_size=2, max_size=2), min_size=n, max_size=n))
+    doc = {"kind": kind, "dims": dims, "data": data}
+    if draw(st.integers(0, 3)) == 0:
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(_JSON_VALUES)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _audit_ends_cleanly(path, content: bytes, fmt: str) -> None:
+    """Exit 0 with finite numbers, or 1 or 2 with a one-line message; no
+    exception and no warning escapes."""
+    path.write_bytes(content)
+    out, err = StringIO(), StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["audit", "--state", str(path), "--format", fmt])
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+        assert not re.search(r"\b(NaN|nan|Infinity|inf)\b", out.getvalue())
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(content=st.binary(max_size=64), fmt=st.sampled_from(["json", "table"]))
+def test_fuzz_random_bytes_as_state_file(fuzz_dir, content, fmt):
+    _audit_ends_cleanly(fuzz_dir / "state.json", content, fmt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.one_of(state_documents(), state_documents(), _JSON_VALUES), fmt=st.sampled_from(["json", "table"]))
+def test_fuzz_random_json_as_state_file(fuzz_dir, doc, fmt):
+    _audit_ends_cleanly(fuzz_dir / "state.json", json.dumps(doc).encode(), fmt)
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])

@@ -65,6 +65,16 @@ SCENARIO_CASES = {
     "scenario_epr_measure.json": ("scenario", "epr_measure", "--theta1", "0.3",
                                   "--theta2", "1.1", "--shots", "2000", "--seed", "5"),
     "chsh_scan.json": ("chsh", "--scan", "100", "--seed", "7"),
+    # One block of draws or scan points, and one past it: a blocked
+    # draw must continue the stream exactly where the previous one left.
+    "scenario_epr_measure_shots65536.json": ("scenario", "epr_measure", "--theta1", "0.7",
+                                             "--theta2", "2.3", "--shots", "65536",
+                                             "--seed", "3"),
+    "scenario_epr_measure_shots65537.json": ("scenario", "epr_measure", "--theta1", "0.7",
+                                             "--theta2", "2.3", "--shots", "65537",
+                                             "--seed", "3"),
+    "chsh_scan4097.json": ("chsh", "--scan", "4097", "--seed", "5"),
+    "chsh_scan65537.json": ("chsh", "--scan", "65537", "--seed", "5"),
 }
 
 # Pinned in both formats.  The sampled and scanned runs are large enough

@@ -79,6 +79,9 @@ def test_density_validation_messages():
         DensityOperator(np.array([[0.5, 1.0], [0.0, 0.5]]), (2,))
     with pytest.raises(ValidationError, match="trace ="):
         DensityOperator(np.diag([0.5, 0.48]), (2,))
+    # finite entries whose pairwise sum overflows to inf - inf = nan
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValidationError, match="trace = nan"):
+        DensityOperator(np.diag([1e308, 1e308, -1e308, -1e308]), (2, 2))
     with pytest.raises(ValidationError, match="does not match factor dims"):
         DensityOperator(np.eye(4) / 4.0, (2,))
 

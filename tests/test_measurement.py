@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,8 +27,9 @@ from entroscope import (
     ternary_center,
     venn_atoms,
 )
+from entroscope import measurement
 from entroscope.linalg import partial_trace, purity
-from entroscope.measurement import CLASSICAL_BOUND, TSIRELSON_BOUND
+from entroscope.measurement import CLASSICAL_BOUND, MAX_SHOTS, TSIRELSON_BOUND
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -220,18 +222,23 @@ def shots_and_chunk(draw):
     shots_chunk=shots_and_chunk(),
     seed=st.integers(0, 2**63 - 1),
     angles=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
+    block=st.integers(1, 64) | st.just(measurement._DRAW_BLOCK),
 )
-def test_sample_records_match_per_shot_loop(shots_chunk, seed, angles):
+def test_sample_records_match_per_shot_loop(shots_chunk, seed, angles, block):
+    # a small draw block straddles chunk edges and splits every chunk into
+    # many choice calls; the loop oracle draws each chunk in one call
     shots, chunk = shots_chunk
     setup = MeasurementSetup.of((0, angles[0], "A1"), (1, angles[1], "A2"))
     post = premeasure(epr_singlet(), setup)
-    records = sample_records(post, setup, shots=shots, seed=seed, chunk_size=chunk)
+    with mock.patch.object(measurement, "_DRAW_BLOCK", block):
+        records = sample_records(post, setup, shots=shots, seed=seed, chunk_size=chunk)
+        counts = records.counts()
     loop = helpers.sample_records_loop(post, setup, shots=shots, seed=seed, chunk_size=chunk)
     assert len(records) == len(loop) == shots
     assert [tuple(row) for row in records.bits.tolist()] == [r.bits for r in loop]
     assert [(records.seed, int(c)) for c in records.chunk_index] == [r.lineage for r in loop]
     assert all(r.devices == records.devices for r in loop)
-    counts = records.counts()
+    assert counts.dtype == np.intp
     assert counts.tolist() == [sum(1 for r in loop if r.bits == b) for b in ((0, 0), (0, 1), (1, 0), (1, 1))]
 
 
@@ -251,9 +258,19 @@ def test_sample_records_validation():
         sample_records(post, parallel_setup(), shots=0, seed=0)
     with pytest.raises(ValidationError, match="chunk_size"):
         sample_records(post, parallel_setup(), shots=5, seed=0, chunk_size=0)
-    # a records array this long cannot be allocated, so nothing is touched
+    # over MAX_SHOTS, so nothing is allocated
     with pytest.raises(ValidationError, match="too many"):
         sample_records(post, parallel_setup(), shots=10**15, seed=0)
+
+
+def test_sample_records_over_the_cap_fails_before_drawing(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drawing started")
+
+    post = premeasure(epr_singlet(), parallel_setup())
+    monkeypatch.setattr(np.random, "SeedSequence", no_draw)
+    with pytest.raises(ValidationError, match=f"^{MAX_SHOTS + 1} shots are too many to hold in memory$"):
+        sample_records(post, parallel_setup(), shots=MAX_SHOTS + 1, seed=0)
 
 
 def test_correlator_analytic():
