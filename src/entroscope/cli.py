@@ -22,26 +22,21 @@ from .report import (
     report_document,
     serialize_document,
 )
-from .scenarios import (
-    SCENARIO_IDS,
-    DiagramBundle,
-    ScenarioConfig,
-    run_scenario,
-)
+from .scenarios import SCENARIO_IDS, DiagramBundle, run_scenario, scenario_parameters
 from .version import __version__
 
 SEED_ENV_VAR = "ENTROSCOPE_SEED"
 
 ANGLE_ALIASES = {"z": 0.0, "x": math.pi / 2.0}
 
-# Scenario flags by ScenarioConfig field, with the one scenario that reads
-# each; giving one to any other scenario is an error, not a no-op.
-_SCENARIO_FLAGS = {
-    "theta1": ("--theta1", "epr_measure"),
-    "theta2": ("--theta2", "epr_measure"),
-    "shots": ("--shots", "epr_measure"),
-    "grouping": ("--grouping", "cat"),
-    "with_observer": ("--observer", "cat"),
+# The flag of each scenario parameter; giving one to a scenario that does
+# not take its parameter is an error, not a no-op.
+_PARAM_FLAGS = {
+    "theta1": "--theta1",
+    "theta2": "--theta2",
+    "shots": "--shots",
+    "grouping": "--grouping",
+    "with_observer": "--observer",
 }
 
 
@@ -141,23 +136,27 @@ def _emit_doc(doc: dict, fmt: str) -> None:
 
 
 def _cmd_scenario(args) -> int:
-    """scenario and chsh: flags -> ScenarioConfig -> run_scenario."""
+    """scenario and chsh: flags -> run_scenario parameters."""
     if args.command == "chsh":
-        fields = {"scenario_id": "chsh", "scan_points": args.scan}
+        scenario_id, params = "chsh", {"scan_points": args.scan}
         if args.angles is not None:
             tokens = [t for t in args.angles.split(",") if t.strip()]
             if len(tokens) != 4:
                 raise ValidationError(f"--angles needs 4 comma-separated values, got {len(tokens)}")
-            fields["angles"] = tuple(parse_angle(t) for t in tokens)
+            params["angles"] = tuple(parse_angle(t) for t in tokens)
     else:
-        given = {f: getattr(args, f) for f in _SCENARIO_FLAGS if getattr(args, f) is not None}
-        stray = [flag for f, (flag, owner) in _SCENARIO_FLAGS.items()
-                 if f in given and owner != args.scenario_id]
-        if stray:
-            raise ValidationError(f"scenario {args.scenario_id} does not use {', '.join(stray)}")
-        fields = {"scenario_id": args.scenario_id, **given}
+        scenario_id = args.scenario_id
+        params = {p: getattr(args, p) for p in _PARAM_FLAGS if getattr(args, p) is not None}
+    takes = scenario_parameters(scenario_id)
+    stray = [_PARAM_FLAGS[p] for p in params if p not in takes]
+    if stray:
+        raise ValidationError(f"scenario {scenario_id} does not use {', '.join(stray)}")
     seed = args.seed if args.seed is not None else default_seed()
-    report = run_scenario(ScenarioConfig(seed=seed, **fields))
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    if "seed" in takes:
+        params["seed"] = seed
+    report = run_scenario(scenario_id, **params)
     _emit_doc(report_document(report), args.format)
     return 0
 

@@ -22,12 +22,6 @@ HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 NORM_TOL = 1e-12
 PSD_CLAMP = -1e-10
-PURITY_TOL = 1e-9
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with complex dtype; factor dims multiply."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def _as_dims(dims) -> tuple[int, ...]:
@@ -193,8 +187,3 @@ def hermitian_eigenvalues(m) -> np.ndarray:
 def purity(rho: DensityOperator) -> float:
     """Tr(rho^2); 1 for pure states, 1/d for the maximally mixed state."""
     return float(np.trace(rho.matrix @ rho.matrix).real)
-
-
-def purify_check(rho: DensityOperator) -> bool:
-    """True iff rho is pure within tolerance: Tr(rho^2) >= 1 - 1e-9."""
-    return purity(rho) >= 1.0 - PURITY_TOL

@@ -84,17 +84,6 @@ class OutcomeRecords:
             and np.array_equal(self.outcomes, other.outcomes)
         )
 
-    @property
-    def bits(self) -> np.ndarray:
-        """(shots, devices) array of 0/1, one column per device."""
-        shifts = np.arange(len(self.devices) - 1, -1, -1)
-        return ((self.outcomes[:, None] >> shifts) & 1).astype(np.uint8)
-
-    @property
-    def chunk_index(self) -> np.ndarray:
-        """The chunk, and so the SeedSequence child, each shot came from."""
-        return np.arange(len(self)) // self.chunk_size
-
     def counts(self) -> np.ndarray:
         """Shots per outcome index, length 2**devices.
 
@@ -163,13 +152,13 @@ def device_partition(post: PureState, setup: MeasurementSetup) -> PartitionSpec:
     )
 
 
-def full_partition(post: PureState, setup: MeasurementSetup, system_label: str = "Q") -> PartitionSpec:
-    """The system factors as one party plus one party per device."""
+def full_partition(post: PureState, setup: MeasurementSetup) -> PartitionSpec:
+    """The system factors as one party "Q" plus one party per device."""
     devs = device_factors(post, setup)
-    if system_label in devs:
-        raise ValidationError(f"system label {system_label!r} collides with a device label")
+    if "Q" in devs:
+        raise ValidationError("system label 'Q' collides with a device label")
     base = post.num_factors - len(setup.taps)
-    parties = [(system_label, frozenset(range(base)))]
+    parties = [("Q", frozenset(range(base)))]
     parties += [(label, frozenset({f})) for label, f in devs.items()]
     return PartitionSpec(tuple(parties))
 
@@ -188,31 +177,13 @@ def device_joints(
     return grouped_entropies(post.to_density(), grouping)
 
 
-def _device_subset(setup: MeasurementSetup, devices) -> tuple[str, ...]:
-    if devices is None:
-        return setup.device_labels
-    got = tuple(str(d) for d in devices)
-    known = set(setup.device_labels)
-    for d in got:
-        if d not in known:
-            raise ValidationError(f"unknown device {d!r}, have {list(setup.device_labels)}")
-    if len(set(got)) != len(got):
-        raise ValidationError(f"repeated device in {got}")
-    # keep tap order regardless of how the caller listed them
-    return tuple(d for d in setup.device_labels if d in got)
-
-
-def outcome_probabilities(
-    post: PureState, setup: MeasurementSetup, devices=None
-) -> np.ndarray:
+def outcome_probabilities(post: PureState, setup: MeasurementSetup) -> np.ndarray:
     """Probability of each device bitstring: the diagonal of the devices'
     reduced density operator in the computational basis.
 
-    Bitstrings are indexed with the first listed device as the most
+    Bitstrings are indexed with the first tap's device as the most
     significant bit."""
-    labels = _device_subset(setup, devices)
-    factors = [device_factors(post, setup)[lbl] for lbl in labels]
-    reduced = partial_trace(post.to_density(), factors)
+    reduced = partial_trace(post.to_density(), device_factors(post, setup).values())
     p = reduced.matrix.diagonal().real.copy()
     p[p < 0.0] = 0.0  # kill round-off negatives on the diagonal
     return p
@@ -224,7 +195,6 @@ def sample_records(
     shots: int,
     seed: int,
     chunk_size: int | None = None,
-    devices=None,
 ) -> OutcomeRecords:
     """Draw iid shots from outcome_probabilities into one OutcomeRecords.
 
@@ -243,8 +213,7 @@ def sample_records(
     chunk = shots if chunk_size is None else int(chunk_size)
     if chunk < 1:
         raise ValidationError(f"chunk_size must be >= 1, got {chunk}")
-    labels = _device_subset(setup, devices)
-    p = outcome_probabilities(post, setup, devices=labels)
+    p = outcome_probabilities(post, setup)
     p = p / p.sum()
     try:
         outcomes = np.empty(shots, dtype=np.min_scalar_type(len(p) - 1))
@@ -258,7 +227,7 @@ def sample_records(
         for lo in range(start, stop, _DRAW_BLOCK):
             hi = min(lo + _DRAW_BLOCK, stop)
             outcomes[lo:hi] = rng.choice(len(p), size=hi - lo, p=p)
-    return OutcomeRecords(outcomes=outcomes, devices=labels, seed=int(seed), chunk_size=chunk)
+    return OutcomeRecords(outcomes, setup.device_labels, seed=int(seed), chunk_size=chunk)
 
 
 def correlator(theta_1: float, theta_2: float) -> float:

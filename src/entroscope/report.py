@@ -23,6 +23,9 @@ from .scenarios import DiagramBundle, DiagramReport
 from .version import __version__
 
 SCHEMA_VERSION = "1.0.0"
+# Largest total dimension a state file may declare: every route to a diagram
+# builds the dense 2**12 x 2**12 density matrix (256 MB) at this size.
+MAX_DENSE_DIM = 2**12
 _SEMVER = re.compile(r"^\d+\.\d+\.\d+$")
 
 
@@ -134,7 +137,7 @@ def report_document(report: DiagramReport) -> dict:
     """The canonical JSON-ready form of a scenario report."""
     return _canonical({
         "schema_version": SCHEMA_VERSION,
-        "tool_version": report.tool_version,
+        "tool_version": __version__,
         "scenario": report.scenario,
         "parameters": report.parameters,
         "seed": report.seed,
@@ -188,8 +191,10 @@ def load_state(path) -> PureState | DensityOperator:
         raise ValidationError(f"{p}: kind: expected 'pure' or 'density', got {kind!r}")
     # type() rather than isinstance: JSON true/false load as bool, an int subclass
     dims = doc.get("dims")
-    if not isinstance(dims, list) or not dims or not all(type(d) is int for d in dims):
-        raise ValidationError(f"{p}: dims: expected a nonempty list of integers")
+    if not isinstance(dims, list) or not dims or not all(type(d) is int and d >= 2 for d in dims):
+        raise ValidationError(f"{p}: dims: expected a nonempty list of integers >= 2")
+    if math.prod(dims) > MAX_DENSE_DIM:
+        raise ValidationError(f"{p}: dims: total dimension is over the limit of {MAX_DENSE_DIM}")
     data = doc.get("data")
     if not isinstance(data, list):
         raise ValidationError(f"{p}: data: expected a list of [re, im] pairs")

@@ -8,6 +8,7 @@ rendering to JSON or a table lives in the report module.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -37,7 +38,6 @@ from .measurement import (
     sample_records,
 )
 from .states import BasisAngle, cat_chain, epr_singlet
-from .version import __version__
 
 SCENARIO_IDS = ("epr_pair", "epr_measure", "cat", "chsh")
 CAT_GROUPINGS = ("atom", "atom_gamma")
@@ -73,42 +73,9 @@ _ORTHODOX_ATOMS = {
 }
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Parameters for one scenario run; validated per scenario_id.
-
-    The cat grouping and the CHSH angle count are checked by run_cat and
-    run_chsh, which library callers reach without a config.
-    """
-
-    scenario_id: str
-    theta1: float | None = None
-    theta2: float | None = None
-    shots: int = 0
-    seed: int | None = None
-    chunk_size: int | None = None
-    grouping: str = "atom_gamma"
-    with_observer: bool = False
-    angles: tuple[float, float, float, float] | None = None
-    scan_points: int = 0
-
-    def __post_init__(self):
-        if self.scenario_id not in SCENARIO_IDS:
-            raise ValidationError(
-                f"unknown scenario {self.scenario_id!r}, expected one of {list(SCENARIO_IDS)}"
-            )
-        if self.shots < 0:
-            raise ValidationError(f"shots must be >= 0, got {self.shots}")
-        if self.seed is not None and self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.scenario_id == "epr_measure" and (self.theta1 is None or self.theta2 is None):
-            raise ValidationError("epr_measure needs theta1 and theta2")
-        if self.scan_points < 0:
-            raise ValidationError(f"scan points must be >= 0, got {self.scan_points}")
-        if self.scan_points > MAX_SCAN_POINTS:
-            raise ValidationError(
-                f"scan points must be <= {MAX_SCAN_POINTS}, got {self.scan_points}"
-            )
+def _non_negative(what: str, value: int | None) -> None:
+    if value is not None and value < 0:
+        raise ValidationError(f"{what} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -145,7 +112,6 @@ class DiagramReport:
     sampled: dict | None = None
     orthodox: dict | None = None
     chsh: dict | None = None
-    tool_version: str = __version__
 
 
 def run_epr_pair() -> DiagramReport:
@@ -240,12 +206,14 @@ def run_epr_measure(
     statistics, and the orthodox reference table when the angles are the
     parallel or orthogonal textbook arrangement.
     """
+    _non_negative("shots", shots)
+    _non_negative("seed", seed)
     t1, t2 = BasisAngle(float(theta1)).theta, BasisAngle(float(theta2)).theta
     setup = MeasurementSetup.of((0, t1, "A1"), (1, t2, "A2"))
     post = premeasure(epr_singlet(), setup)
     rho = post.to_density()
 
-    full_bundle = DiagramBundle.of(rho, full_partition(post, setup, system_label="Q"))
+    full_bundle = DiagramBundle.of(rho, full_partition(post, setup))
     center = ternary_center(full_bundle.venn)
     q_dev = mutual_entropy(full_bundle.venn.joints, "Q", ("A1", "A2"))
 
@@ -272,7 +240,7 @@ def run_epr_measure(
     )
 
 
-def run_cat(with_observer: bool, grouping: str = "atom_gamma") -> DiagramReport:
+def run_cat(with_observer: bool = False, grouping: str = "atom_gamma") -> DiagramReport:
     """Decay-chain diagram with the atomic party chosen by `grouping`.
 
     grouping "atom_gamma" groups factors {atom, gamma} as the atomic
@@ -331,6 +299,10 @@ def run_chsh(
     The scan draws angle quadruples uniformly from [0, 2 pi) and tracks the
     largest |S|; it can approach but never pass 2*sqrt(2).
     """
+    _non_negative("seed", seed)
+    _non_negative("scan points", scan_points)
+    if scan_points > MAX_SCAN_POINTS:
+        raise ValidationError(f"scan points must be <= {MAX_SCAN_POINTS}, got {scan_points}")
     if angles is None:
         angles = CANONICAL_CHSH_ANGLES
     angles = tuple(float(a) for a in angles)
@@ -369,18 +341,30 @@ def run_chsh(
     )
 
 
-def run_scenario(config: ScenarioConfig) -> DiagramReport:
-    """Dispatch a validated config to its scenario."""
-    if config.scenario_id == "epr_pair":
-        return run_epr_pair()
-    if config.scenario_id == "epr_measure":
-        return run_epr_measure(
-            config.theta1,
-            config.theta2,
-            shots=config.shots,
-            seed=config.seed,
-            chunk_size=config.chunk_size,
-        )
-    if config.scenario_id == "cat":
-        return run_cat(config.with_observer, config.grouping)
-    return run_chsh(config.angles, scan_points=config.scan_points, seed=config.seed)
+def _runner(scenario_id: str):
+    if scenario_id not in SCENARIO_IDS:
+        raise ValidationError(f"unknown scenario {scenario_id!r}, expected one of {list(SCENARIO_IDS)}")
+    # looked up at call time, so a rebound run_<id> is the one that runs
+    return globals()[f"run_{scenario_id}"]
+
+
+def scenario_parameters(scenario_id: str) -> tuple[str, ...]:
+    """The parameters run_scenario takes for `scenario_id`, in order."""
+    return tuple(inspect.signature(_runner(scenario_id)).parameters)
+
+
+def run_scenario(scenario_id: str, **params) -> DiagramReport:
+    """Run `scenario_id` through run_<scenario_id> with `params`.
+
+    A parameter the runner does not take is an error, not a no-op; each
+    runner checks the values of the ones it does take.
+    """
+    runner = _runner(scenario_id)
+    takes = inspect.signature(runner).parameters
+    stray = [name for name in params if name not in takes]
+    if stray:
+        raise ValidationError(f"scenario {scenario_id} does not use {', '.join(stray)}")
+    required = [name for name, p in takes.items() if p.default is p.empty]
+    if not set(required) <= set(params):
+        raise ValidationError(f"{scenario_id} needs {' and '.join(required)}")
+    return runner(**params)

@@ -176,14 +176,14 @@ class LoopRecord:
     lineage: tuple[int, int]  # (root seed, chunk index)
 
 
-def sample_records_loop(post, setup, shots, seed, chunk_size=None, devices=None) -> list:
+def sample_records_loop(post, setup, shots, seed, chunk_size=None) -> list:
     """One LoopRecord per shot, drawn with the same per-chunk rng.choice
     calls as measurement.sample_records and unpacked bit by bit."""
     from entroscope.measurement import outcome_probabilities
 
     chunk = shots if chunk_size is None else chunk_size
-    labels = tuple(d for d in setup.device_labels if devices is None or d in devices)
-    p = outcome_probabilities(post, setup, devices=labels)
+    labels = setup.device_labels
+    p = outcome_probabilities(post, setup)
     p = p / p.sum()
     width = len(labels)
     children = np.random.SeedSequence(seed).spawn(-(-shots // chunk))
@@ -198,6 +198,18 @@ def sample_records_loop(post, setup, shots, seed, chunk_size=None, devices=None)
             records.append(LoopRecord(shot=shot, bits=bits, devices=labels, lineage=(int(seed), ci)))
             shot += 1
     return records
+
+
+def record_bits(records) -> np.ndarray:
+    """(shots, devices) array of 0/1 from OutcomeRecords, one column per
+    device, first device as the most significant bit of the outcome."""
+    shifts = np.arange(len(records.devices) - 1, -1, -1)
+    return (records.outcomes[:, None] >> shifts) & 1
+
+
+def record_chunks(records) -> np.ndarray:
+    """The chunk, and so the SeedSequence child, each shot was drawn from."""
+    return np.arange(len(records)) // records.chunk_size
 
 
 def singlet_expectation(x: float, y: float) -> float:

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entroscope import DensityOperator, cli, epr_singlet, ghz, random_density, scenarios
+from entroscope import DensityOperator, PureState, cli, epr_singlet, ghz, random_density, scenarios
 from entroscope.cli import main
 from entroscope.measurement import MAX_SHOTS
-from entroscope.report import serialize_state
+from entroscope.report import MAX_DENSE_DIM, serialize_state
 
 
 def run_cli(*args, env_extra=None):
@@ -265,6 +265,10 @@ _HUGE_INT = "1" + "0" * 400  # a valid JSON integer, too large for a float
     (b'{"kind": "pure", "dims": [2], "data": [[true, false], [0, 0]]}', "data[0]: expected [re, im]"),
     (b'{"kind": "pure", "dims": [true, 2], "data": [[1, 0], [0, 0]]}',
      "dims: expected a nonempty list of integers"),
+    # a negative dim once reached the data-length message, whose d * d
+    # had too many digits to print: a ValueError traceback
+    (f'{{"kind": "density", "dims": [-{"1" * 2200}], "data": []}}'.encode(),
+     "dims: expected a nonempty list of integers >= 2"),
     (f'{{"kind": "pure", "dims": [2], "data": [[1{"0" * 5000}, 0]]}}'.encode(), "invalid JSON: "),
     (b"[" * 100_000 + b"]" * 100_000, "invalid JSON: "),
 ])
@@ -398,3 +402,32 @@ def test_state_commands_load_and_check_the_file_once(tmp_path, capsys, monkeypat
     assert code == 0, err
     assert loads == ["rho.json"]
     assert len(checks) == 1
+
+
+class DensityBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_oversize_state_file_exits_2_before_any_dense_work(tmp_path, capsys, monkeypatch, fmt):
+    # a 16-qubit pure file used to end in a MemoryError traceback from
+    # to_density; the gate reads only dims, so nothing large is allocated
+    def no_density(self):
+        raise DensityBuilt
+
+    monkeypatch.setattr(PureState, "to_density", no_density)
+    monkeypatch.chdir(tmp_path)
+    for qubits in (12, 13):
+        data = [[1.0, 0.0]] + [[0.0, 0.0]] * (2**qubits - 1)
+        doc = {"kind": "pure", "dims": [2] * qubits, "data": data}
+        (tmp_path / f"q{qubits}.json").write_text(json.dumps(doc))
+    assert 2**12 == MAX_DENSE_DIM
+    for command in ("diagram", "audit"):
+        with pytest.raises(DensityBuilt):  # the limit itself passes the gate
+            main([command, "--state", "q12.json", "--partition", "A=0;B=1", "--format", fmt])
+        capsys.readouterr()
+        code, out, err = run_main(capsys, command, "--state", "q13.json",
+                                  "--partition", "A=0;B=1", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: q13.json: dims: total dimension is over the limit of {MAX_DENSE_DIM}\n"

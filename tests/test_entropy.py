@@ -24,7 +24,7 @@ from entroscope import (
     venn_atoms,
     von_neumann_entropy,
 )
-from entroscope.linalg import kron, partial_trace
+from entroscope.linalg import partial_trace
 
 # h(3/4) = 2 - (3/4) log2 3, evaluated independently
 H_THREE_QUARTERS = 0.8112781244591329

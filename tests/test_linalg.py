@@ -16,9 +16,7 @@ from entroscope import (
 from entroscope.linalg import (
     hermitian_eig,
     hermitian_eigenvalues,
-    kron,
     partial_trace,
-    purify_check,
     purity,
 )
 from entroscope.states import PAULI_X, PAULI_Z
@@ -38,14 +36,14 @@ SIGMA_Z_X = np.array(
 
 
 def test_kron_identities():
-    assert np.array_equal(kron(I2, I2), np.eye(4))
+    assert np.array_equal(np.kron(I2, I2), np.eye(4))
     p0 = np.array([[1, 0], [0, 0]])
     p1 = np.array([[0, 0], [0, 1]])
-    assert np.array_equal(kron(p0, p1), np.diag([0.0, 1.0, 0.0, 0.0]))
+    assert np.array_equal(np.kron(p0, p1), np.diag([0.0, 1.0, 0.0, 0.0]))
 
 
 def test_kron_pauli_blocks():
-    assert np.array_equal(kron(PAULI_Z, PAULI_X), SIGMA_Z_X)
+    assert np.array_equal(np.kron(PAULI_Z, PAULI_X), SIGMA_Z_X)
 
 
 def test_kron_associative():
@@ -53,8 +51,8 @@ def test_kron_associative():
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    left = kron(kron(a, b), c)
-    right = kron(a, kron(b, c))
+    left = np.kron(np.kron(a, b), c)
+    right = np.kron(a, np.kron(b, c))
     assert np.max(np.abs(left - right)) < 1e-15 * np.max(np.abs(left))
 
 
@@ -104,7 +102,7 @@ def test_partial_trace_singlet_marginal():
 def test_partial_trace_product_factorizes():
     rho_a = DensityOperator(np.diag([0.75, 0.25]), (2,))
     rho_b = DensityOperator(np.diag([0.6, 0.4]), (2,))
-    joint = DensityOperator(kron(rho_a.matrix, rho_b.matrix), (2, 2))
+    joint = DensityOperator(np.kron(rho_a.matrix, rho_b.matrix), (2, 2))
     assert np.max(np.abs(partial_trace(joint, (0,)).matrix - rho_a.matrix)) < 1e-12
     assert np.max(np.abs(partial_trace(joint, (1,)).matrix - rho_b.matrix)) < 1e-12
 
@@ -227,10 +225,10 @@ def test_density_eigenvalues_sum_to_one():
 
 
 def test_purity_and_purity_check():
-    assert purify_check(epr_singlet().to_density())
+    assert purity(epr_singlet().to_density()) >= 1 - 1e-9
     mixed = DensityOperator(I2 / 2.0, (2,))
-    assert not purify_check(mixed)
+    assert purity(mixed) < 1 - 1e-9
     assert abs(purity(mixed) - 0.5) < 1e-12
     # either marginal of the singlet is maximally mixed
     marginal = partial_trace(epr_singlet().to_density(), (0,))
-    assert not purify_check(marginal)
+    assert purity(marginal) < 1 - 1e-9

@@ -182,13 +182,14 @@ def test_sample_records_shape_and_lineage():
     assert len(records) == 100
     assert [r.shot for r in loop] == list(range(100))
     assert records.devices == ("A1", "A2")
-    assert records.bits.shape == (100, 2)
+    bits = helpers.record_bits(records)
+    assert bits.shape == (100, 2)
     # shot order: row i of the array is shot i of the loop
-    assert [tuple(row) for row in records.bits.tolist()] == [r.bits for r in loop]
+    assert [tuple(row) for row in bits.tolist()] == [r.bits for r in loop]
     assert records.seed == 1
-    assert records.chunk_index.tolist() == [shot // 32 for shot in range(100)]
-    assert [(records.seed, int(c)) for c in records.chunk_index] == [r.lineage for r in loop]
-    assert set(map(tuple, records.bits.tolist())) <= {(0, 1), (1, 0)}  # parallel devices anticorrelate
+    assert helpers.record_chunks(records).tolist() == [shot // 32 for shot in range(100)]
+    assert [(records.seed, int(c)) for c in helpers.record_chunks(records)] == [r.lineage for r in loop]
+    assert set(map(tuple, bits.tolist())) <= {(0, 1), (1, 0)}  # parallel devices anticorrelate
 
 
 def test_sample_records_deterministic_distribution():
@@ -196,14 +197,14 @@ def test_sample_records_deterministic_distribution():
     setup = MeasurementSetup.of((0, 0.0, "A"))
     post = premeasure(zero, setup)
     records = sample_records(post, setup, shots=50, seed=3)
-    assert records.bits.tolist() == [[0]] * 50
+    assert helpers.record_bits(records).tolist() == [[0]] * 50
     assert records.counts().tolist() == [50, 0]
 
 
 def test_sample_records_frequencies_converge():
     post = premeasure(epr_singlet(), parallel_setup())
     records = sample_records(post, parallel_setup(), shots=20000, seed=8)
-    n01 = int(np.sum((records.bits == (0, 1)).all(axis=1)))
+    n01 = int(np.sum((helpers.record_bits(records) == (0, 1)).all(axis=1)))
     assert n01 == records.counts()[0b01]
     assert n01 / 20000 == pytest.approx(0.5, abs=0.02)
 
@@ -235,21 +236,11 @@ def test_sample_records_match_per_shot_loop(shots_chunk, seed, angles, block):
         counts = records.counts()
     loop = helpers.sample_records_loop(post, setup, shots=shots, seed=seed, chunk_size=chunk)
     assert len(records) == len(loop) == shots
-    assert [tuple(row) for row in records.bits.tolist()] == [r.bits for r in loop]
-    assert [(records.seed, int(c)) for c in records.chunk_index] == [r.lineage for r in loop]
+    assert [tuple(row) for row in helpers.record_bits(records).tolist()] == [r.bits for r in loop]
+    assert [(records.seed, int(c)) for c in helpers.record_chunks(records)] == [r.lineage for r in loop]
     assert all(r.devices == records.devices for r in loop)
     assert counts.dtype == np.intp
     assert counts.tolist() == [sum(1 for r in loop if r.bits == b) for b in ((0, 0), (0, 1), (1, 0), (1, 1))]
-
-
-def test_sample_records_device_subset_packs_bits_in_tap_order():
-    setup = MeasurementSetup.of((0, 0.3, "A1"), (1, 1.2, "A2"))
-    post = premeasure(epr_singlet(), setup)
-    records = sample_records(post, setup, shots=500, seed=4, chunk_size=77, devices=["A2"])
-    loop = helpers.sample_records_loop(post, setup, shots=500, seed=4, chunk_size=77, devices=["A2"])
-    assert records.devices == ("A2",)
-    assert records.bits.tolist() == [list(r.bits) for r in loop]
-    assert len(records.counts()) == 2
 
 
 def test_sample_records_validation():

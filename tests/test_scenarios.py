@@ -6,7 +6,6 @@ import pytest
 import helpers
 from entroscope import (
     MeasurementSetup,
-    ScenarioConfig,
     ValidationError,
     epr_singlet,
     ghz,
@@ -216,35 +215,88 @@ def test_chsh_validates_angle_count():
 
 
 def test_run_scenario_dispatch():
-    assert run_scenario(ScenarioConfig(scenario_id="epr_pair")).scenario == "epr_pair"
-    rep = run_scenario(ScenarioConfig(scenario_id="epr_measure", theta1=0.0, theta2=0.0))
+    assert run_scenario("epr_pair").scenario == "epr_pair"
+    rep = run_scenario("epr_measure", theta1=0.0, theta2=0.0)
     assert rep.scenario == "epr_measure"
-    assert run_scenario(ScenarioConfig(scenario_id="cat")).scenario == "cat"
-    assert run_scenario(ScenarioConfig(scenario_id="chsh")).scenario == "chsh"
+    assert run_scenario("cat").scenario == "cat"
+    assert run_scenario("chsh").scenario == "chsh"
 
 
 def test_scenario_config_validation():
     with pytest.raises(ValidationError, match="unknown scenario"):
-        ScenarioConfig(scenario_id="bell")
-    with pytest.raises(ValidationError, match="theta"):
-        ScenarioConfig(scenario_id="epr_measure")
-    with pytest.raises(ValidationError, match="shots"):
-        ScenarioConfig(scenario_id="epr_pair", shots=-1)
+        run_scenario("bell")
+    with pytest.raises(ValidationError, match="epr_measure needs theta1 and theta2"):
+        run_scenario("epr_measure")
+    with pytest.raises(ValidationError, match="shots must be >= 0, got -1"):
+        run_scenario("epr_measure", theta1=0.0, theta2=0.0, shots=-1)
 
 
-def test_scan_points_are_capped():
+def test_scan_points_are_capped(monkeypatch):
+    class ScanStarted(Exception):
+        pass
+
+    def no_scan(quads):
+        raise ScanStarted
+
+    monkeypatch.setattr(scenarios, "chsh_values", no_scan)
     cap = scenarios.MAX_SCAN_POINTS
-    assert ScenarioConfig(scenario_id="chsh", scan_points=cap).scan_points == cap
+    with pytest.raises(ScanStarted):  # the cap itself passes the check
+        run_chsh(scan_points=cap)
     for points in (cap + 1, 10**17):
         with pytest.raises(ValidationError, match=f"scan points must be <= {cap}, got {points}"):
-            ScenarioConfig(scenario_id="chsh", scan_points=points)
+            run_scenario("chsh", scan_points=points)
 
 
 def test_config_leaves_grouping_and_angle_count_to_the_scenario():
     with pytest.raises(ValidationError, match="grouping must be one of"):
-        run_scenario(ScenarioConfig(scenario_id="cat", grouping="photon"))
+        run_scenario("cat", grouping="photon")
     with pytest.raises(ValidationError, match="chsh needs 4 angles, got 3"):
-        run_scenario(ScenarioConfig(scenario_id="chsh", angles=(0.0, 1.0, 2.0)))
+        run_scenario("chsh", angles=(0.0, 1.0, 2.0))
+
+
+@pytest.mark.parametrize("scenario_id, params, stray", [
+    ("epr_pair", {"shots": 5}, "shots"),
+    ("epr_pair", {"shots": 5, "theta1": 0.3, "grouping": "atom", "with_observer": True},
+     "shots, theta1, grouping, with_observer"),
+    ("epr_measure", {"theta1": 0.0, "theta2": 0.0, "scan_points": 3}, "scan_points"),
+    ("cat", {"seed": 1}, "seed"),
+    ("chsh", {"shots": 0}, "shots"),
+])
+def test_run_scenario_rejects_parameters_the_scenario_does_not_use(scenario_id, params, stray):
+    with pytest.raises(ValidationError, match=f"^scenario {scenario_id} does not use {stray}$"):
+        run_scenario(scenario_id, **params)
+
+
+def test_scenario_parameters_follow_the_runners():
+    assert scenarios.scenario_parameters("epr_pair") == ()
+    assert scenarios.scenario_parameters("epr_measure") == (
+        "theta1", "theta2", "shots", "seed", "chunk_size")
+    assert scenarios.scenario_parameters("cat") == ("with_observer", "grouping")
+    assert scenarios.scenario_parameters("chsh") == ("angles", "scan_points", "seed")
+    with pytest.raises(ValidationError, match="unknown scenario"):
+        scenarios.scenario_parameters("bell")
+
+
+@pytest.mark.parametrize("runner, kwargs, message", [
+    (run_epr_measure, {"shots": -5}, "shots must be >= 0, got -5"),
+    (run_epr_measure, {"shots": 5, "seed": -1}, "seed must be >= 0, got -1"),
+    (run_chsh, {"scan_points": 5, "seed": -1}, "seed must be >= 0, got -1"),
+    (run_chsh, {"scan_points": -3}, "scan points must be >= 0, got -3"),
+    (run_chsh, {"scan_points": scenarios.MAX_SCAN_POINTS + 1},
+     f"scan points must be <= {scenarios.MAX_SCAN_POINTS}, got {scenarios.MAX_SCAN_POINTS + 1}"),
+], ids=["negative-shots", "negative-measure-seed", "negative-scan-seed", "negative-scan",
+        "scan-over-the-cap"])
+def test_runners_check_their_own_inputs(monkeypatch, runner, kwargs, message):
+    # library callers who skip the CLI get the checks it relies on, before
+    # anything is sampled or scanned
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drawing started")
+
+    monkeypatch.setattr(scenarios, "chsh_values", no_draw)
+    monkeypatch.setattr(scenarios, "sample_records", no_draw)
+    args = (0.0, 0.0) if runner is run_epr_measure else ()
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        runner(*args, **kwargs)
 
 
 def test_diagram_bundle_of_traces_out_uncovered_factors():

@@ -16,7 +16,7 @@ from entroscope import (
     spin_observable,
     von_neumann_entropy,
 )
-from entroscope.linalg import kron, partial_trace, purity
+from entroscope.linalg import partial_trace, purity
 from entroscope.states import PAULI_X, PAULI_Z
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -42,7 +42,7 @@ def test_epr_singlet_rotation_invariance():
     psi = epr_singlet().amplitudes
     rng = np.random.default_rng(2)
     for theta in rng.uniform(0.0, math.pi, size=10):
-        rr = kron(basis_rotation(theta), basis_rotation(theta))
+        rr = np.kron(basis_rotation(theta), basis_rotation(theta))
         fidelity = abs(np.vdot(psi, rr @ psi))
         assert fidelity == pytest.approx(1.0, abs=1e-9)
 
