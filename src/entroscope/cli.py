@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
-from .entropy import PartitionSpec, ternary_center
+from .entropy import PartitionSpec
 from .errors import NumericalFaultError, ValidationError
 from .linalg import PureState
 from .report import (
@@ -89,8 +90,27 @@ def default_seed() -> int:
     return seed
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as one error line, with no usage dump."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
+def _join_negative_angles(argv) -> list[str]:
+    """["--theta1", "-1e-3"] -> ["--theta1=-1e-3"]; argparse would take a
+    negative number in exponent form for an unknown option."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in ("--theta1", "--theta2", "--angles") and re.match(r"-\.?\d", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="entroscope",
         description="Entropy Venn diagrams and pre-measurement analysis for small quantum systems.",
     )
@@ -175,9 +195,7 @@ def _cmd_state(args) -> int:
             tuple((f"F{i}", frozenset({i})) for i in range(n))
         )
     rho = state.to_density() if isinstance(state, PureState) else state
-    bundle = DiagramBundle.of(rho, partition)
-    center = ternary_center(bundle.venn) if len(bundle.venn.parties) == 3 else None
-    _emit_doc(diagram_document(args.state, bundle, center), args.format)
+    _emit_doc(diagram_document(args.state, DiagramBundle.of(rho, partition)), args.format)
     return 0
 
 
@@ -192,9 +210,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_angles(sys.argv[1:] if argv is None else argv))
         return _COMMANDS[args.command](args)
-    except SystemExit as exc:  # argparse prints usage itself; keep its code
+    except SystemExit as exc:  # --help and --version print to stdout and exit 0
         return int(exc.code or 0)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

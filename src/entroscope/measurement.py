@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .entropy import PartitionSpec, grouped_entropies
-from .linalg import PureState, partial_trace
-from .states import BasisAngle, basis_rotation, epr_singlet, spin_observable
+from .linalg import PureState
+from .states import axis_angle, basis_rotation, epr_singlet, spin_observable
 
 CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -31,13 +31,10 @@ _DRAW_BLOCK = 65_536
 class MeasurementSetup:
     """Which qubits get a pointer, in which basis, under which label."""
 
-    taps: tuple[tuple[int, BasisAngle, str], ...]
+    taps: tuple[tuple[int, float, str], ...]
 
     def __post_init__(self):
-        taps = tuple(
-            (int(f), a if isinstance(a, BasisAngle) else BasisAngle(float(a)), str(lbl))
-            for f, a, lbl in self.taps
-        )
+        taps = tuple((int(f), axis_angle(a), str(lbl)) for f, a, lbl in self.taps)
         if not taps:
             raise ValidationError("a measurement setup needs at least one tap")
         factors = [f for f, _, _ in taps]
@@ -59,18 +56,15 @@ class MeasurementSetup:
 
 @dataclass(frozen=True, eq=False)
 class OutcomeRecords:
-    """Sampled shots as one array, plus where they came from.
+    """Sampled shots as one array.
 
     outcomes[i] is shot i's outcome index, first device as the most
-    significant bit; shot i was drawn in chunk i // chunk_size, from the
-    chunk-th child of SeedSequence(seed).  One byte per shot for up to
-    eight devices, the only memory that grows with the shots.
+    significant bit.  One byte per shot for up to eight devices, the only
+    memory that grows with the shots.
     """
 
     outcomes: np.ndarray
     devices: tuple[str, ...]
-    seed: int
-    chunk_size: int
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -78,11 +72,7 @@ class OutcomeRecords:
     def __eq__(self, other) -> bool:
         if not isinstance(other, OutcomeRecords):
             return NotImplemented
-        return (
-            (self.devices, self.seed, self.chunk_size)
-            == (other.devices, other.seed, other.chunk_size)
-            and np.array_equal(self.outcomes, other.outcomes)
-        )
+        return self.devices == other.devices and np.array_equal(self.outcomes, other.outcomes)
 
     def counts(self) -> np.ndarray:
         """Shots per outcome index, length 2**devices.
@@ -178,56 +168,45 @@ def device_joints(
 
 
 def outcome_probabilities(post: PureState, setup: MeasurementSetup) -> np.ndarray:
-    """Probability of each device bitstring: the diagonal of the devices'
-    reduced density operator in the computational basis.
+    """Probability of each device bitstring: |amplitude|^2 summed over the
+    system factors, which precede the ancillas.
 
     Bitstrings are indexed with the first tap's device as the most
     significant bit."""
-    reduced = partial_trace(post.to_density(), device_factors(post, setup).values())
-    p = reduced.matrix.diagonal().real.copy()
-    p[p < 0.0] = 0.0  # kill round-off negatives on the diagonal
-    return p
+    base = post.num_factors - len(device_factors(post, setup))
+    p = (post.amplitudes * post.amplitudes.conj()).real.reshape(post.dims)
+    # last factor first, in the order partial_trace sums the diagonal
+    for axis in reversed(range(base)):
+        p = p.sum(axis=axis)
+    return p.reshape(-1)
 
 
 def sample_records(
-    post: PureState,
-    setup: MeasurementSetup,
-    shots: int,
-    seed: int,
-    chunk_size: int | None = None,
+    post: PureState, setup: MeasurementSetup, shots: int, seed: int
 ) -> OutcomeRecords:
     """Draw iid shots from outcome_probabilities into one OutcomeRecords.
 
-    Sampling is chunked: chunk i uses the i-th child of SeedSequence(seed),
-    so the records depend only on (seed, shots, chunk_size) and chunks could
-    be drawn in any order or in parallel without changing the result.
-    Within a chunk the draws come in blocks of _DRAW_BLOCK shots; consecutive
-    choice calls continue one stream of uniforms, so the blocks match one
-    call over the whole chunk.
+    Every shot comes from the first child of SeedSequence(seed), so the
+    records depend only on (seed, shots).  The draws come in blocks of
+    _DRAW_BLOCK shots; consecutive choice calls continue one stream of
+    uniforms, so the blocks match one call over all the shots.
     """
     shots = int(shots)
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
     if shots > MAX_SHOTS:
         raise ValidationError(f"{shots} shots are too many to hold in memory")
-    chunk = shots if chunk_size is None else int(chunk_size)
-    if chunk < 1:
-        raise ValidationError(f"chunk_size must be >= 1, got {chunk}")
     p = outcome_probabilities(post, setup)
     p = p / p.sum()
     try:
         outcomes = np.empty(shots, dtype=np.min_scalar_type(len(p) - 1))
     except MemoryError:
         raise ValidationError(f"{shots} shots are too many to hold in memory") from None
-    root = np.random.SeedSequence(seed)
-    for start in range(0, shots, chunk):
-        # spawning one child per chunk gives the children spawn(n_chunks) would
-        rng = np.random.default_rng(root.spawn(1)[0])
-        stop = min(start + chunk, shots)
-        for lo in range(start, stop, _DRAW_BLOCK):
-            hi = min(lo + _DRAW_BLOCK, stop)
-            outcomes[lo:hi] = rng.choice(len(p), size=hi - lo, p=p)
-    return OutcomeRecords(outcomes, setup.device_labels, seed=int(seed), chunk_size=chunk)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    for lo in range(0, shots, _DRAW_BLOCK):
+        hi = min(lo + _DRAW_BLOCK, shots)
+        outcomes[lo:hi] = rng.choice(len(p), size=hi - lo, p=p)
+    return OutcomeRecords(outcomes, setup.device_labels)
 
 
 def correlator(theta_1: float, theta_2: float) -> float:

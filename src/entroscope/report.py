@@ -143,7 +143,7 @@ def report_document(report: DiagramReport) -> dict:
         "seed": report.seed,
         "diagram": _diagram_block(report.diagram),
         "reduced_diagram": _diagram_block(report.reduced),
-        "ternary_center": report.ternary_center,
+        "ternary_center": None if report.diagram is None else report.diagram.center,
         "q_devices_mutual": report.q_devices_mutual,
         "sampled": report.sampled,
         "orthodox": report.orthodox,
@@ -151,14 +151,14 @@ def report_document(report: DiagramReport) -> dict:
     })
 
 
-def diagram_document(source: str, bundle: DiagramBundle, center: float | None) -> dict:
+def diagram_document(source: str, bundle: DiagramBundle) -> dict:
     """Document for the CLI diagram/audit commands over a state file."""
     return _canonical({
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "state_file": source,
         "diagram": _diagram_block(bundle),
-        "ternary_center": center,
+        "ternary_center": bundle.center,
     })
 
 
@@ -372,10 +372,7 @@ def _param_str(value) -> str:
 
 
 def _sampled_lines(block: dict) -> list[str]:
-    lines = [
-        f"sampled: shots={block['shots']} seed={block['seed']}"
-        + (f" chunk_size={block['chunk_size']}" if block["chunk_size"] else "")
-    ]
+    lines = [f"sampled: shots={block['shots']} seed={block['seed']}"]
     counts = "  ".join(f"{k}:{v}" for k, v in block["counts"].items())
     lines.append(f"counts: {counts}")
     for key, value in block["entropies"].items():

@@ -37,7 +37,7 @@ from .measurement import (
     premeasure,
     sample_records,
 )
-from .states import BasisAngle, cat_chain, epr_singlet
+from .states import cat_chain, epr_singlet
 
 SCENARIO_IDS = ("epr_pair", "epr_measure", "cat", "chsh")
 CAT_GROUPINGS = ("atom", "atom_gamma")
@@ -97,6 +97,11 @@ class DiagramBundle:
             audit=audit_inequalities(joints),
         )
 
+    @property
+    def center(self) -> float | None:
+        """The ternary center S(A:B:C) of a three-party diagram, else None."""
+        return ternary_center(self.venn) if len(self.venn.parties) == 3 else None
+
 
 @dataclass(frozen=True)
 class DiagramReport:
@@ -107,7 +112,6 @@ class DiagramReport:
     seed: int | None = None
     diagram: DiagramBundle | None = None
     reduced: DiagramBundle | None = None
-    ternary_center: float | None = None
     q_devices_mutual: float | None = None
     sampled: dict | None = None
     orthodox: dict | None = None
@@ -160,9 +164,8 @@ def orthodox_reference(case: str) -> dict:
     }
 
 
-def _sampled_block(post, setup, shots: int, seed: int, chunk_size: int | None,
-                   exact_mutual: float) -> dict:
-    records = sample_records(post, setup, shots=shots, seed=seed, chunk_size=chunk_size)
+def _sampled_block(post, setup, shots: int, seed: int, exact_mutual: float) -> dict:
+    records = sample_records(post, setup, shots=shots, seed=seed)
     labels = setup.device_labels
     width = len(labels)
     counts = {format(i, f"0{width}b"): int(n) for i, n in enumerate(records.counts())}
@@ -176,7 +179,7 @@ def _sampled_block(post, setup, shots: int, seed: int, chunk_size: int | None,
     block = {
         "shots": shots,
         "seed": seed,
-        "chunk_size": chunk_size,
+        "chunk_size": None,  # schema 1.0.0 keeps the key; records are not chunked
         "devices": labels,
         "counts": counts,
         "frequencies": freqs,
@@ -190,31 +193,24 @@ def _sampled_block(post, setup, shots: int, seed: int, chunk_size: int | None,
     return block
 
 
-def run_epr_measure(
-    theta1,
-    theta2,
-    shots: int = 0,
-    seed: int | None = None,
-    chunk_size: int | None = None,
-) -> DiagramReport:
+def run_epr_measure(theta1, theta2, shots: int = 0, seed: int | None = None) -> DiagramReport:
     """Singlet with device A1 reading qubit 0 at theta1 and A2 reading
     qubit 1 at theta2.
 
     Reports the full (Q, A1, A2) diagram of the post-measurement pure
-    state, the device-only diagram after tracing Q, the ternary center
-    alongside the bipartite Q:(A1 A2) mutual entropy, optional sampled
-    statistics, and the orthodox reference table when the angles are the
-    parallel or orthogonal textbook arrangement.
+    state, the device-only diagram after tracing Q, the bipartite
+    Q:(A1 A2) mutual entropy, optional sampled statistics, and the
+    orthodox reference table when the angles are the parallel or
+    orthogonal textbook arrangement.
     """
     _non_negative("shots", shots)
     _non_negative("seed", seed)
-    t1, t2 = BasisAngle(float(theta1)).theta, BasisAngle(float(theta2)).theta
-    setup = MeasurementSetup.of((0, t1, "A1"), (1, t2, "A2"))
+    setup = MeasurementSetup.of((0, theta1, "A1"), (1, theta2, "A2"))
+    (_, t1, _), (_, t2, _) = setup.taps
     post = premeasure(epr_singlet(), setup)
     rho = post.to_density()
 
     full_bundle = DiagramBundle.of(rho, full_partition(post, setup))
-    center = ternary_center(full_bundle.venn)
     q_dev = mutual_entropy(full_bundle.venn.joints, "Q", ("A1", "A2"))
 
     dev_bundle = DiagramBundle.of(rho, device_partition(post, setup))
@@ -224,16 +220,15 @@ def run_epr_measure(
     used_seed = seed
     if shots > 0:
         used_seed = 0 if seed is None else int(seed)
-        sampled = _sampled_block(post, setup, shots, used_seed, chunk_size, exact_mutual)
+        sampled = _sampled_block(post, setup, shots, used_seed, exact_mutual)
 
     case = _orthodox_case_for(t1, t2)
     return DiagramReport(
         scenario="epr_measure",
-        parameters={"theta1": t1, "theta2": t2, "shots": shots, "chunk_size": chunk_size},
+        parameters={"theta1": t1, "theta2": t2, "shots": shots, "chunk_size": None},
         seed=used_seed,
         diagram=full_bundle,
         reduced=dev_bundle,
-        ternary_center=center,
         q_devices_mutual=q_dev,
         sampled=sampled,
         orthodox=orthodox_reference(case) if case else None,
@@ -246,9 +241,9 @@ def run_cat(with_observer: bool = False, grouping: str = "atom_gamma") -> Diagra
     grouping "atom_gamma" groups factors {atom, gamma} as the atomic
     party; "atom" keeps only the atom there and leaves the gamma on the
     detector side with the cat, so the partition still covers the state.
-    With an observer the report carries the three-party diagram, its
-    center, and the reduced cat-observer diagram; without one, the
-    two-party atomic-vs-cat diagram.
+    With an observer the report carries the three-party diagram and the
+    reduced cat-observer diagram; without one, the two-party
+    atomic-vs-cat diagram.
     """
     if grouping not in CAT_GROUPINGS:
         raise ValidationError(
@@ -269,10 +264,8 @@ def run_cat(with_observer: bool = False, grouping: str = "atom_gamma") -> Diagra
     bundle = DiagramBundle.of(rho, partition)
     joints = bundle.venn.joints
 
-    center = None
     reduced = None
     if with_observer:
-        center = ternary_center(bundle.venn)
         q_dev = mutual_entropy(joints, "atomic", ("cat", "observer"))
         pair_part = PartitionSpec((("cat", cat_side), ("observer", frozenset({3}))))
         reduced = DiagramBundle.of(rho, pair_part)
@@ -284,7 +277,6 @@ def run_cat(with_observer: bool = False, grouping: str = "atom_gamma") -> Diagra
         parameters={"with_observer": bool(with_observer), "grouping": grouping},
         diagram=bundle,
         reduced=reduced,
-        ternary_center=center,
         q_devices_mutual=q_dev,
     )
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,27 +15,17 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class BasisAngle:
-    """A measurement direction in the z-x plane, measured from z.
+def axis_angle(theta) -> float:
+    """A measurement direction in the z-x plane, measured from z, as its
+    axis in [0, pi).
 
-    Normalized to [0, pi): theta and theta + pi share the same axis, only
-    the outcome labels swap, so the axis is the canonical representative.
+    theta and theta + pi share the same axis, only the outcome labels
+    swap, so the axis is the canonical representative.
     """
-
-    theta: float
-
-    def __post_init__(self):
-        t = float(self.theta)
-        if not math.isfinite(t):
-            raise ValidationError(f"angle must be finite, got {t!r}")
-        object.__setattr__(self, "theta", t % math.pi)
-
-
-def _angle(value) -> float:
-    if isinstance(value, BasisAngle):
-        return value.theta
-    return BasisAngle(float(value)).theta
+    t = float(theta)
+    if not math.isfinite(t):
+        raise ValidationError(f"angle must be finite, got {t!r}")
+    return t % math.pi
 
 
 def spin_observable(theta: float) -> np.ndarray:
@@ -47,13 +36,14 @@ def spin_observable(theta: float) -> np.ndarray:
     return math.cos(theta) * PAULI_Z + math.sin(theta) * PAULI_X
 
 
-def basis_rotation(angle) -> np.ndarray:
+def basis_rotation(theta: float) -> np.ndarray:
     """Rotation taking the theta-eigenbasis to the computational basis.
 
     Rows are the eigenbras of spin_observable(theta), ordered (+1, -1), so
     R @ v maps the b-th eigenvector to |b> and R M R^dag = diag(1, -1).
+    theta is taken as its axis_angle.
     """
-    t = _angle(angle)
+    t = axis_angle(theta)
     c, s = math.cos(t / 2.0), math.sin(t / 2.0)
     return np.array([[c, s], [-s, c]], dtype=complex)
 

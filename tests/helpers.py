@@ -168,35 +168,27 @@ def resum_joints(atoms: dict) -> dict:
 
 @dataclass(frozen=True)
 class LoopRecord:
-    """One sampled shot: a bit per device, plus where it came from."""
+    """One sampled shot: a bit per device."""
 
     shot: int
     bits: tuple[int, ...]
     devices: tuple[str, ...]
-    lineage: tuple[int, int]  # (root seed, chunk index)
 
 
-def sample_records_loop(post, setup, shots, seed, chunk_size=None) -> list:
-    """One LoopRecord per shot, drawn with the same per-chunk rng.choice
-    calls as measurement.sample_records and unpacked bit by bit."""
+def sample_records_loop(post, setup, shots, seed) -> list:
+    """One LoopRecord per shot, drawn with one rng.choice call from the
+    stream measurement.sample_records uses and unpacked bit by bit."""
     from entroscope.measurement import outcome_probabilities
 
-    chunk = shots if chunk_size is None else chunk_size
     labels = setup.device_labels
     p = outcome_probabilities(post, setup)
     p = p / p.sum()
     width = len(labels)
-    children = np.random.SeedSequence(seed).spawn(-(-shots // chunk))
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     records = []
-    shot = 0
-    for ci, child in enumerate(children):
-        take = min(chunk, shots - ci * chunk)
-        rng = np.random.default_rng(child)
-        draws = rng.choice(len(p), size=take, p=p)
-        for d in draws:
-            bits = tuple((int(d) >> (width - 1 - i)) & 1 for i in range(width))
-            records.append(LoopRecord(shot=shot, bits=bits, devices=labels, lineage=(int(seed), ci)))
-            shot += 1
+    for shot, d in enumerate(rng.choice(len(p), size=shots, p=p)):
+        bits = tuple((int(d) >> (width - 1 - i)) & 1 for i in range(width))
+        records.append(LoopRecord(shot=shot, bits=bits, devices=labels))
     return records
 
 
@@ -205,11 +197,6 @@ def record_bits(records) -> np.ndarray:
     device, first device as the most significant bit of the outcome."""
     shifts = np.arange(len(records.devices) - 1, -1, -1)
     return (records.outcomes[:, None] >> shifts) & 1
-
-
-def record_chunks(records) -> np.ndarray:
-    """The chunk, and so the SeedSequence child, each shot was drawn from."""
-    return np.arange(len(records)) // records.chunk_size
 
 
 def singlet_expectation(x: float, y: float) -> float:

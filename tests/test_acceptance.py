@@ -135,7 +135,7 @@ def test_c08_cat_mutual_and_center():
     for grouping in ("atom", "atom_gamma"):
         rep = run_cat(with_observer=True, grouping=grouping)
         assert rep.reduced.venn.atoms[("cat", "observer")] == pytest.approx(1.0, abs=1e-9)
-        assert rep.ternary_center == pytest.approx(0.0, abs=1e-9)
+        assert rep.diagram.center == pytest.approx(0.0, abs=1e-9)
 
 
 def test_c09_chsh_bounds():
@@ -151,14 +151,14 @@ def test_c09_chsh_bounds():
 def test_c10_monte_carlo_consistency():
     shots = 100_000
     for t2, exact in ((0.0, 1.0), (math.pi / 2.0, 0.0)):
-        rep = run_epr_measure(0.0, t2, shots=shots, seed=99, chunk_size=8192)
+        rep = run_epr_measure(0.0, t2, shots=shots, seed=99)
         assert rep.sampled["exact_mutual"] == pytest.approx(exact, abs=1e-9)
         assert abs(rep.sampled["mutual"] - exact) < 0.01
 
     setup = MeasurementSetup.of((0, 0.0, "A1"), (1, 0.0, "A2"))
     post = premeasure(epr_singlet(), setup)
-    a = sample_records(post, setup, shots=5000, seed=7, chunk_size=512)
-    b = sample_records(post, setup, shots=5000, seed=7, chunk_size=512)
+    a = sample_records(post, setup, shots=5000, seed=7)
+    b = sample_records(post, setup, shots=5000, seed=7)
     assert a == b
 
 

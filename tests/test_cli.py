@@ -5,12 +5,13 @@ import re
 import subprocess
 import sys
 import warnings
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from io import StringIO
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from entroscope import DensityOperator, PureState, cli, epr_singlet, ghz, random_density, scenarios
@@ -327,22 +328,52 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def _audit_ends_cleanly(path, content: bytes, fmt: str) -> None:
-    """Exit 0 with finite numbers, or 1 or 2 with a one-line message; no
-    exception and no warning escapes."""
-    path.write_bytes(content)
+def _run_quietly(argv) -> tuple[int, str, str]:
+    """main(argv) in process, every warning an error: (exit code, stdout, stderr)."""
     out, err = StringIO(), StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(["audit", "--state", str(path), "--format", fmt])
+            code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _no_constants(name):
+    raise AssertionError(f"{name} in the JSON output")
+
+
+def _ends_cleanly(argv) -> tuple[int, str]:
+    """Exit 0 with finite numbers, or 1 or 2 with a one-line message; no
+    exception and no warning escapes.  Returns the exit code and stderr."""
+    code, out, err = _run_quietly(argv)
     assert code in (0, 1, 2)
     if code == 0:
-        assert err.getvalue() == ""
-        assert not re.search(r"\b(NaN|nan|Infinity|inf)\b", out.getvalue())
+        assert err == ""
+        if argv[-1] == "json":
+            json.loads(out, parse_constant=_no_constants)  # NaN and Infinity
+        else:
+            assert not re.search(r"\b(nan|inf)\b", out)
     else:
-        assert out.getvalue() == ""
-        assert err.getvalue().count("\n") == 1
+        assert out == ""
+        assert err.count("\n") == 1
+    return code, err
+
+
+def _same_in_both_formats(argv) -> int:
+    """_ends_cleanly on the json run; the table run ends with the same exit
+    code and stderr.  Only the JSON is searched for non-finite numbers: the
+    table renders the same document, and a party name may spell nan."""
+    code, err = _ends_cleanly([*argv, "--format", "json"])
+    table_code, table_out, table_err = _run_quietly([*argv, "--format", "table"])
+    assert (table_code, table_err) == (code, err)
+    assert (table_out == "") == (code != 0)
+    event(f"exit {code}")
+    return code
+
+
+def _audit_ends_cleanly(path, content: bytes, fmt: str) -> None:
+    path.write_bytes(content)
+    _ends_cleanly(["audit", "--state", str(path), "--format", fmt])
 
 
 @settings(max_examples=150, deadline=None)
@@ -431,3 +462,154 @@ def test_oversize_state_file_exits_2_before_any_dense_work(tmp_path, capsys, mon
         assert code == 2
         assert out == ""
         assert err == f"error: q13.json: dims: total dimension is over the limit of {MAX_DENSE_DIM}\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("args, message", [
+    (("chsh", "--scan", "abc"), "argument --scan: invalid int value: 'abc'"),
+    (("diagram", "--partition", "A=0"), "the following arguments are required: --state"),
+    (("audit",), "the following arguments are required: --state"),
+    (("scenario", "epr_pair", "--bogus"), "unrecognized arguments: --bogus"),
+    (("scenario", "epr_measure", "--theta1"), "argument --theta1: expected one argument"),
+    (("scenario", "bell"), "argument scenario_id: invalid choice: "),
+    (("scenario", "cat", "--grouping", "photon"), "argument --grouping: invalid choice: "),
+])
+def test_argparse_errors_are_one_line(capsys, fmt, args, message):
+    # no usage dump: one "error: " line, as for every other bad input
+    code, out, err = run_main(capsys, *args, "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    (("scenario", "epr_pair", "--format", "xml"), "argument --format: invalid choice: "),
+    (("chsh", "--format"), "argument --format: expected one argument"),
+    ((), "the following arguments are required: command"),
+    (("nonsense_command",), "argument command: invalid choice: "),
+])
+def test_argparse_errors_outside_a_format_are_one_line(capsys, args, message):
+    code, out, err = run_main(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [("--help",), ("scenario", "-h"), ("chsh", "--help")])
+def test_help_goes_to_stdout_with_exit_0(capsys, args):
+    code, out, err = run_main(capsys, *args)
+    assert code == 0
+    assert out.startswith("usage: entroscope")
+    assert err == ""
+
+
+def test_version_goes_to_stdout_with_exit_0(capsys):
+    from entroscope import __version__
+
+    assert run_main(capsys, "--version") == (0, f"entroscope {__version__}\n", "")
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("spaced, joined", [
+    (("scenario", "epr_measure", "--theta1", "-1e-3", "--theta2", "x", "--shots", "7"),
+     ("scenario", "epr_measure", "--theta1=-1e-3", "--theta2=x", "--shots", "7")),
+    (("scenario", "epr_measure", "--theta2", "-2.5E+1", "--theta1", "-.5"),
+     ("scenario", "epr_measure", "--theta2=-2.5E+1", "--theta1=-.5")),
+    (("chsh", "--angles", "-1e-3,0,0,0"), ("chsh", "--angles=-1e-3,0,0,0")),
+    (("chsh", "--angles", "-5e-1,7,1e-1,-3", "--scan", "3"),
+     ("chsh", "--angles=-0.5,7,0.1,-3", "--scan", "3")),
+])
+def test_negative_exponent_angles_parse_after_a_space(capsys, fmt, spaced, joined):
+    # argparse took "-1e-3" after a flag for an unknown option
+    code, out, err = run_main(capsys, *spaced, "--format", fmt)
+    assert code == 0, err
+    assert (code, out, err) == run_main(capsys, *joined, "--format", fmt)
+
+
+_ANGLE_TEXT = st.one_of(
+    st.floats().map(repr),  # nan, inf, -inf, 1e+308, -1e-05, ...
+    st.floats(-1e3, 1e3).map(lambda x: f"{x:e}"),
+    st.sampled_from(["1e308", "-1e308", "2e308", "-1e-3", "-.5", "nan", "-inf", "Infinity",
+                     "z", "x", " X ", "Z", "y", "", "-", "1e", "0x1"]),
+    st.text(max_size=6),
+)
+
+
+def _angle_flag(flag: str, text: str, joined: bool) -> list[str]:
+    return [f"{flag}={text}"] if joined else [flag, text]
+
+
+class DrawStarted(Exception):
+    pass
+
+
+def _fail(*args, **kwargs):
+    raise DrawStarted
+
+
+@settings(max_examples=150, deadline=None)
+@given(t1=_ANGLE_TEXT, t2=_ANGLE_TEXT, joined=st.booleans(),
+       shots=st.none() | st.integers(-3, 40) | st.sampled_from([MAX_SHOTS + 1, 10**30]),
+       seed=st.none() | st.integers(0, 2**200) | st.integers(-5, -1))
+def test_fuzz_epr_measure_flags(t1, t2, joined, shots, seed):
+    argv = ["scenario", "epr_measure", *_angle_flag("--theta1", t1, joined),
+            *_angle_flag("--theta2", t2, joined)]
+    if shots is not None:
+        argv += ["--shots", str(shots)]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    # past the cap nothing may be drawn
+    big = shots is not None and shots > MAX_SHOTS
+    with mock.patch.object(np.random, "SeedSequence", _fail) if big else nullcontext():
+        code = _same_in_both_formats(argv)
+    if big or (seed is not None and seed < 0) or (shots is not None and shots < 0):
+        assert code == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(angles=st.none() | st.lists(_ANGLE_TEXT, min_size=3, max_size=5), joined=st.booleans(),
+       scan=st.none() | st.integers(-2, 40) | st.sampled_from([scenarios.MAX_SCAN_POINTS + 1, 10**30]),
+       seed=st.none() | st.integers(0, 2**200))
+def test_fuzz_chsh_flags(angles, joined, scan, seed):
+    argv = ["chsh"]
+    if angles is not None:
+        argv += _angle_flag("--angles", ",".join(angles), joined)
+    if scan is not None:
+        argv += ["--scan", str(scan)]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    big = scan is not None and scan > scenarios.MAX_SCAN_POINTS
+    with mock.patch.object(scenarios, "chsh_values", _fail) if big else nullcontext():
+        code = _same_in_both_formats(argv)
+    if big:
+        assert code == 2
+
+
+_FACTOR_INDEX = st.integers(-3, 6) | st.sampled_from([10**6, 2**70, -(10**30)])
+
+
+@st.composite
+def partition_texts(draw):
+    """A split of ghz(4)'s factors among unicode party names, now and then
+    with extra parties (up to seven), or with one negative, huge or repeated
+    index; sometimes any text at all."""
+    if not draw(st.integers(0, 4)):
+        return draw(st.text(max_size=12))
+    name = st.sampled_from(["A", "B", "C", "D", "Q", "\u00e9t\u00e9", "\u03c8"]) | st.text(max_size=3)
+    parties: dict[str, list[int]] = {}
+    for factor in range(4):
+        parties.setdefault(draw(name), []).append(factor)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        parties[draw(name)] = draw(st.lists(_FACTOR_INDEX, max_size=3))
+    if not draw(st.integers(0, 2)):
+        parties[draw(st.sampled_from(sorted(parties)))].append(draw(_FACTOR_INDEX))
+    return ";".join(f"{n}={','.join(map(str, fs))}" for n, fs in parties.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(["diagram", "audit"]), partition=partition_texts())
+def test_fuzz_partitions_on_a_ghz4_file(fuzz_dir, command, partition):
+    path = fuzz_dir / "ghz4.json"
+    if not path.exists():
+        path.write_text(serialize_state(ghz(4)))
+    _same_in_both_formats([command, "--state", str(path), f"--partition={partition}"])

@@ -102,6 +102,13 @@ BOTH_FORMAT_CASES = {
     "chsh_angles_scan1": ("chsh", "--angles", "0.1,0.2,0.3,0.4", "--scan", "1"),
     "chsh_angles_aliases": ("chsh", "--angles", "z,x,0.5,2"),
     "chsh_angles_within": ("chsh", "--angles", "0,0,0,0"),
+    # Angles outside [0, pi), which the report normalises to their axis,
+    # and a shot count far below one draw block.
+    "scenario_epr_measure_wrapped": ("scenario", "epr_measure", "--theta1", "-0.3",
+                                     "--theta2", "4.0", "--shots", "1000", "--seed", "5"),
+    "scenario_epr_measure_tiny_negative": ("scenario", "epr_measure", "--theta1=-1e-3",
+                                           "--theta2", "x", "--shots", "7"),
+    "chsh_angles_wrapped": ("chsh", "--angles=-0.5,7,0.1,-3"),
 }
 
 CASES = dict(_state_cases())

@@ -23,11 +23,12 @@ from entroscope import (
     mutual_entropy,
     outcome_probabilities,
     premeasure,
+    random_pure,
     sample_records,
     ternary_center,
     venn_atoms,
 )
-from entroscope import measurement
+from entroscope import linalg, measurement
 from entroscope.linalg import partial_trace, purity
 from entroscope.measurement import CLASSICAL_BOUND, MAX_SHOTS, TSIRELSON_BOUND
 
@@ -166,19 +167,60 @@ def test_outcome_agreement_follows_angle_difference():
         assert agree == pytest.approx(math.sin((t1 - t2) / 2.0) ** 2, abs=1e-9)
 
 
+def test_outcome_probabilities_match_the_devices_reduced_diagonal():
+    # the marginal of |amplitudes|^2 against an explicit partial trace of
+    # rho, on random states with system factors of dim 2 and 3
+    rng = np.random.default_rng(31)
+    for k in range(20):
+        dims = ((2, 2), (2, 3, 2), (3, 2))[k % 3]
+        qubits = [i for i, d in enumerate(dims) if d == 2]
+        taps = [(f, float(rng.uniform(-7.0, 7.0)), f"D{f}") for f in qubits]
+        setup = MeasurementSetup.of(*taps)
+        post = premeasure(random_pure(dims, seed=500 + k), setup)
+        rho = post.to_density().matrix
+        devices = range(len(dims), post.num_factors)
+        diag = helpers.brute_partial_trace(rho, post.dims, devices).diagonal().real
+        p = outcome_probabilities(post, setup)
+        assert p.shape == (2 ** len(taps),)
+        assert np.max(np.abs(p - diag)) < 1e-12
+        assert np.all(p >= 0.0) and abs(p.sum() - 1.0) < 1e-12
+
+
+def test_sampling_builds_no_density_matrix(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("a density matrix was built")
+
+    setup = MeasurementSetup.of((0, 0.4, "A1"), (1, 1.9, "A2"))
+    post = premeasure(epr_singlet(), setup)
+    expect = outcome_probabilities(post, setup)
+    records = sample_records(post, setup, shots=300, seed=4)
+    monkeypatch.setattr(PureState, "to_density", dense)
+    monkeypatch.setattr(linalg, "partial_trace", dense)
+    assert np.array_equal(outcome_probabilities(post, setup), expect)
+    assert sample_records(post, setup, shots=300, seed=4) == records
+
+
+def test_outcome_records_compare_devices_and_outcomes():
+    a = measurement.OutcomeRecords(np.array([0, 1, 3], dtype=np.uint8), ("A1", "A2"))
+    assert a == measurement.OutcomeRecords(np.array([0, 1, 3], dtype=np.uint8), ("A1", "A2"))
+    assert a != measurement.OutcomeRecords(np.array([0, 1, 2], dtype=np.uint8), ("A1", "A2"))
+    assert a != measurement.OutcomeRecords(np.array([0, 1, 3], dtype=np.uint8), ("A2", "A1"))
+    assert a.counts().tolist() == [1, 1, 0, 1]
+
+
 def test_sample_records_deterministic_per_seed():
     post = premeasure(epr_singlet(), parallel_setup())
-    a = sample_records(post, parallel_setup(), shots=200, seed=5, chunk_size=64)
-    b = sample_records(post, parallel_setup(), shots=200, seed=5, chunk_size=64)
+    a = sample_records(post, parallel_setup(), shots=200, seed=5)
+    b = sample_records(post, parallel_setup(), shots=200, seed=5)
     assert a == b
-    c = sample_records(post, parallel_setup(), shots=200, seed=6, chunk_size=64)
+    c = sample_records(post, parallel_setup(), shots=200, seed=6)
     assert a != c
 
 
-def test_sample_records_shape_and_lineage():
+def test_sample_records_shape_and_order():
     post = premeasure(epr_singlet(), parallel_setup())
-    records = sample_records(post, parallel_setup(), shots=100, seed=1, chunk_size=32)
-    loop = helpers.sample_records_loop(post, parallel_setup(), shots=100, seed=1, chunk_size=32)
+    records = sample_records(post, parallel_setup(), shots=100, seed=1)
+    loop = helpers.sample_records_loop(post, parallel_setup(), shots=100, seed=1)
     assert len(records) == 100
     assert [r.shot for r in loop] == list(range(100))
     assert records.devices == ("A1", "A2")
@@ -186,9 +228,6 @@ def test_sample_records_shape_and_lineage():
     assert bits.shape == (100, 2)
     # shot order: row i of the array is shot i of the loop
     assert [tuple(row) for row in bits.tolist()] == [r.bits for r in loop]
-    assert records.seed == 1
-    assert helpers.record_chunks(records).tolist() == [shot // 32 for shot in range(100)]
-    assert [(records.seed, int(c)) for c in helpers.record_chunks(records)] == [r.lineage for r in loop]
     assert set(map(tuple, bits.tolist())) <= {(0, 1), (1, 0)}  # parallel devices anticorrelate
 
 
@@ -209,35 +248,24 @@ def test_sample_records_frequencies_converge():
     assert n01 / 20000 == pytest.approx(0.5, abs=0.02)
 
 
-@st.composite
-def shots_and_chunk(draw):
-    """Shots with no chunking, a chunk size dividing them, or any chunk size."""
-    shots = draw(st.integers(1, 5000))
-    divisors = [d for d in range(1, shots + 1) if shots % d == 0]
-    chunk = draw(st.one_of(st.none(), st.sampled_from(divisors), st.integers(1, shots + 100)))
-    return shots, chunk
-
-
 @settings(max_examples=60, deadline=None)
 @given(
-    shots_chunk=shots_and_chunk(),
+    shots=st.integers(1, 5000),
     seed=st.integers(0, 2**63 - 1),
     angles=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
     block=st.integers(1, 64) | st.just(measurement._DRAW_BLOCK),
 )
-def test_sample_records_match_per_shot_loop(shots_chunk, seed, angles, block):
-    # a small draw block straddles chunk edges and splits every chunk into
-    # many choice calls; the loop oracle draws each chunk in one call
-    shots, chunk = shots_chunk
+def test_sample_records_match_per_shot_loop(shots, seed, angles, block):
+    # a small draw block splits the shots into many choice calls; the loop
+    # oracle draws them all in one call
     setup = MeasurementSetup.of((0, angles[0], "A1"), (1, angles[1], "A2"))
     post = premeasure(epr_singlet(), setup)
     with mock.patch.object(measurement, "_DRAW_BLOCK", block):
-        records = sample_records(post, setup, shots=shots, seed=seed, chunk_size=chunk)
+        records = sample_records(post, setup, shots=shots, seed=seed)
         counts = records.counts()
-    loop = helpers.sample_records_loop(post, setup, shots=shots, seed=seed, chunk_size=chunk)
+    loop = helpers.sample_records_loop(post, setup, shots=shots, seed=seed)
     assert len(records) == len(loop) == shots
     assert [tuple(row) for row in helpers.record_bits(records).tolist()] == [r.bits for r in loop]
-    assert [(records.seed, int(c)) for c in helpers.record_chunks(records)] == [r.lineage for r in loop]
     assert all(r.devices == records.devices for r in loop)
     assert counts.dtype == np.intp
     assert counts.tolist() == [sum(1 for r in loop if r.bits == b) for b in ((0, 0), (0, 1), (1, 0), (1, 1))]
@@ -247,8 +275,6 @@ def test_sample_records_validation():
     post = premeasure(epr_singlet(), parallel_setup())
     with pytest.raises(ValidationError, match="shots"):
         sample_records(post, parallel_setup(), shots=0, seed=0)
-    with pytest.raises(ValidationError, match="chunk_size"):
-        sample_records(post, parallel_setup(), shots=5, seed=0, chunk_size=0)
     # over MAX_SHOTS, so nothing is allocated
     with pytest.raises(ValidationError, match="too many"):
         sample_records(post, parallel_setup(), shots=10**15, seed=0)

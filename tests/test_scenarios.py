@@ -46,7 +46,7 @@ def test_epr_measure_parallel():
     assert dev[("A1",)] == pytest.approx(0.0, abs=1e-9)
     assert dev[("A2",)] == pytest.approx(0.0, abs=1e-9)
     assert dev[("A1", "A2")] == pytest.approx(1.0, abs=1e-9)
-    assert rep.ternary_center == pytest.approx(0.0, abs=1e-9)
+    assert rep.diagram.center == pytest.approx(0.0, abs=1e-9)
     assert rep.q_devices_mutual == pytest.approx(2.0, abs=1e-9)
     assert rep.orthodox is not None and rep.orthodox["case"] == "parallel"
 
@@ -58,7 +58,7 @@ def test_epr_measure_orthogonal():
         assert dev[("A1",)] == pytest.approx(1.0, abs=1e-9)
         assert dev[("A2",)] == pytest.approx(1.0, abs=1e-9)
         assert dev[("A1", "A2")] == pytest.approx(0.0, abs=1e-9)
-        assert rep.ternary_center == pytest.approx(0.0, abs=1e-9)
+        assert rep.diagram.center == pytest.approx(0.0, abs=1e-9)
         assert rep.orthodox is not None and rep.orthodox["case"] == "orthogonal"
 
 
@@ -69,7 +69,7 @@ def test_epr_measure_intermediate_angle():
     assert mutual == pytest.approx(expect, abs=1e-9)
     assert mutual == pytest.approx(0.399123963307, abs=1e-9)
     assert 0.0 < mutual < 1.0
-    assert rep.ternary_center == pytest.approx(0.0, abs=1e-9)
+    assert rep.diagram.center == pytest.approx(0.0, abs=1e-9)
     assert rep.orthodox is None
 
 
@@ -154,7 +154,7 @@ def test_cat_with_observer(grouping):
     assert pair[("cat",)] == pytest.approx(0.0, abs=1e-9)
     assert pair[("observer",)] == pytest.approx(0.0, abs=1e-9)
     assert pair[("cat", "observer")] == pytest.approx(1.0, abs=1e-9)
-    assert rep.ternary_center == pytest.approx(0.0, abs=1e-9)
+    assert rep.diagram.center == pytest.approx(0.0, abs=1e-9)
     assert rep.q_devices_mutual == pytest.approx(2.0, abs=1e-9)
     # merging any grouping of the chain reproduces the three-party GHZ numbers
     ghz_joints = joint_entropies(ghz(3).to_density(), PartitionSpec.of(A=[0], B=[1], C=[2]))
@@ -168,7 +168,7 @@ def test_cat_without_observer(grouping):
     rep = run_cat(with_observer=False, grouping=grouping)
     assert rep.diagram.venn.joints[("cat",)] == pytest.approx(1.0, abs=1e-9)
     assert rep.q_devices_mutual == pytest.approx(2.0, abs=1e-9)
-    assert rep.ternary_center is None and rep.reduced is None
+    assert rep.diagram.center is None and rep.reduced is None
 
 
 def test_cat_rejects_unknown_grouping():
@@ -270,7 +270,7 @@ def test_run_scenario_rejects_parameters_the_scenario_does_not_use(scenario_id, 
 def test_scenario_parameters_follow_the_runners():
     assert scenarios.scenario_parameters("epr_pair") == ()
     assert scenarios.scenario_parameters("epr_measure") == (
-        "theta1", "theta2", "shots", "seed", "chunk_size")
+        "theta1", "theta2", "shots", "seed")
     assert scenarios.scenario_parameters("cat") == ("with_observer", "grouping")
     assert scenarios.scenario_parameters("chsh") == ("angles", "scan_points", "seed")
     with pytest.raises(ValidationError, match="unknown scenario"):

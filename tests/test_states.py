@@ -5,8 +5,8 @@ import pytest
 
 import helpers
 from entroscope import (
-    BasisAngle,
     ValidationError,
+    axis_angle,
     basis_rotation,
     cat_chain,
     epr_singlet,
@@ -80,15 +80,31 @@ def test_cat_chain_structure():
     assert np.array_equal(full.amplitudes, ghz(4).amplitudes)
 
 
-def test_basis_angle_normalization():
-    assert BasisAngle(0.0).theta == 0.0
-    assert BasisAngle(math.pi).theta == pytest.approx(0.0, abs=1e-15)
-    assert BasisAngle(-math.pi / 4).theta == pytest.approx(3 * math.pi / 4, abs=1e-15)
-    assert BasisAngle(2 * math.pi + 0.3).theta == pytest.approx(0.3, abs=1e-12)
+def test_axis_angle_normalization():
+    assert axis_angle(0.0) == 0.0
+    assert axis_angle(math.pi) == pytest.approx(0.0, abs=1e-15)
+    assert axis_angle(-math.pi / 4) == pytest.approx(3 * math.pi / 4, abs=1e-15)
+    assert axis_angle(2 * math.pi + 0.3) == pytest.approx(0.3, abs=1e-12)
     with pytest.raises(ValidationError):
-        BasisAngle(float("nan"))
+        axis_angle(float("nan"))
     with pytest.raises(ValidationError):
-        BasisAngle(float("inf"))
+        axis_angle(float("inf"))
+
+
+def test_axis_angle_takes_what_float_takes_and_returns_a_float():
+    for value in (1, np.float32(0.5), "0.25", -4.0):
+        t = axis_angle(value)
+        assert type(t) is float and 0.0 <= t < math.pi
+        assert t == float(value) % math.pi
+
+
+def test_basis_rotation_uses_the_axis():
+    # theta and theta + pi are one axis: the same rotation, not its negative
+    for theta in (0.3, 2.0, -1.0):
+        for turn in (math.pi, -2 * math.pi):
+            assert np.max(np.abs(basis_rotation(theta + turn) - basis_rotation(theta))) < 1e-12
+    with pytest.raises(ValidationError, match="finite"):
+        basis_rotation(math.nan)
 
 
 def test_spin_observable_endpoints():
