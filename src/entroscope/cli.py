@@ -10,12 +10,10 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
 
 from .entropy import PartitionSpec
 from .errors import NumericalFaultError, ValidationError
-from .linalg import PureState
 from .report import (
     diagram_document,
     load_state,
@@ -93,16 +91,22 @@ def default_seed() -> int:
 class _Parser(argparse.ArgumentParser):
     """Raises a bad command line as one error line, with no usage dump."""
 
+    def __init__(self, **kwargs):
+        # sub-parsers share the class, so every flag has one spelling,
+        # which _join_negative_angles knows
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise ValidationError(message)
 
 
 def _join_negative_angles(argv) -> list[str]:
     """["--theta1", "-1e-3"] -> ["--theta1=-1e-3"]; argparse would take a
-    negative number in exponent form for an unknown option."""
+    value starting with one "-" (-1e-3, -inf) for an unknown option."""
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in ("--theta1", "--theta2", "--angles") and re.match(r"-\.?\d", token):
+        after_angle_flag = out and out[-1] in ("--theta1", "--theta2", "--angles")
+        if after_angle_flag and token.startswith("-") and not token.startswith("--"):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -194,8 +198,7 @@ def _cmd_state(args) -> int:
         partition = PartitionSpec(
             tuple((f"F{i}", frozenset({i})) for i in range(n))
         )
-    rho = state.to_density() if isinstance(state, PureState) else state
-    _emit_doc(diagram_document(args.state, DiagramBundle.of(rho, partition)), args.format)
+    _emit_doc(diagram_document(args.state, DiagramBundle.of(state, partition)), args.format)
     return 0
 
 

@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import NumericalFaultError, ValidationError
-from .linalg import PSD_CLAMP, DensityOperator, hermitian_eigenvalues, partial_trace
+from .linalg import PSD_CLAMP, DensityOperator, PureState, hermitian_eigenvalues, partial_trace
 
 PROB_SUM_TOL = 1e-9
 ATOM_RESIDUAL_TOL = 1e-9
@@ -129,39 +129,44 @@ def _canonical_subsets(names: tuple[str, ...]) -> list[Subset]:
     return out
 
 
-def joint_entropies(rho: DensityOperator, partition: PartitionSpec) -> dict[Subset, float]:
+def joint_entropies(
+    state: PureState | DensityOperator, partition: PartitionSpec
+) -> dict[Subset, float]:
     """Von Neumann entropy of every nonempty subset of parties.
 
-    The partition must cover every factor of `rho` exactly once."""
-    n = rho.num_factors
+    The partition must cover every factor of `state` exactly once."""
+    n = state.num_factors
     covered = partition.all_factors
     if covered != frozenset(range(n)):
         raise ValidationError(
             f"partition covers factors {sorted(covered)} but the state has {n} factors"
         )
-    joints: dict[Subset, float] = {}
-    for subset in _canonical_subsets(partition.names):
-        reduced = partial_trace(rho, partition.factors_of(subset))
-        joints[subset] = von_neumann_entropy(reduced)
-    return joints
+    return grouped_entropies(state, partition)
 
 
-def grouped_entropies(rho: DensityOperator, partition: PartitionSpec) -> dict[Subset, float]:
+def grouped_entropies(
+    state: PureState | DensityOperator, partition: PartitionSpec
+) -> dict[Subset, float]:
     """joint_entropies for a partition that may cover only part of the state.
 
-    Uncovered factors are traced out first; party factor indices refer to
-    the original state."""
-    n = rho.num_factors
+    A pure state is turned into its density operator here, once.  Uncovered
+    factors are traced out first; party factor indices refer to the
+    original state."""
+    n = state.num_factors
     covered = sorted(partition.all_factors)
     if covered[0] < 0 or covered[-1] >= n:
         raise ValidationError(f"partition references factors {covered}, state has {n}")
+    rho = state.to_density() if isinstance(state, PureState) else state
     if len(covered) < n:
         rho = partial_trace(rho, covered)
         remap = {old: new for new, old in enumerate(covered)}
         partition = PartitionSpec(
             tuple((name, frozenset(remap[f] for f in fs)) for name, fs in partition.parties)
         )
-    return joint_entropies(rho, partition)
+    return {
+        subset: von_neumann_entropy(partial_trace(rho, partition.factors_of(subset)))
+        for subset in _canonical_subsets(partition.names)
+    }
 
 
 def _party_order(joints: dict[Subset, float]) -> tuple[str, ...]:

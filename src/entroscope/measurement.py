@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ValidationError
 from .entropy import PartitionSpec, grouped_entropies
 from .linalg import PureState
-from .states import axis_angle, basis_rotation, epr_singlet, spin_observable
+from .states import axis_angle, basis_rotation, epr_singlet
 
 CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -117,7 +117,7 @@ def premeasure(state: PureState, setup: MeasurementSetup) -> PureState:
     dims = state.dims + (2,) * k
     padding = np.zeros(2**k, dtype=complex)
     padding[0] = 1.0
-    t = np.kron(state.amplitudes, padding).reshape(dims)
+    t = np.outer(state.amplitudes, padding).reshape(dims)
     for i, (factor, angle, _) in enumerate(setup.taps):
         ancilla = n + i
         rot = basis_rotation(angle)
@@ -153,18 +153,9 @@ def full_partition(post: PureState, setup: MeasurementSetup) -> PartitionSpec:
     return PartitionSpec(tuple(parties))
 
 
-def device_joints(
-    post: PureState, setup: MeasurementSetup, grouping: PartitionSpec | None = None
-) -> dict[tuple[str, ...], float]:
-    """Joint entropies of a grouping of the post-measurement state.
-
-    The grouping may cover only part of the state (e.g. just the devices);
-    uncovered factors are traced out first.  Defaults to the device-only
-    grouping.
-    """
-    if grouping is None:
-        grouping = device_partition(post, setup)
-    return grouped_entropies(post.to_density(), grouping)
+def device_joints(post: PureState, setup: MeasurementSetup) -> dict[tuple[str, ...], float]:
+    """Joint entropies of the devices alone, with the system traced out."""
+    return grouped_entropies(post, device_partition(post, setup))
 
 
 def outcome_probabilities(post: PureState, setup: MeasurementSetup) -> np.ndarray:
@@ -209,11 +200,23 @@ def sample_records(
     return OutcomeRecords(outcomes, setup.device_labels)
 
 
+def _correlators(left, right) -> np.ndarray:
+    """e[n, p, q] = <M(left[n, p]) x M(right[n, q])> on the singlet, for
+    (N, P) and (N, Q) angle arrays: one einsum over real (2, 2) observables."""
+    psi = epr_singlet().amplitudes.reshape(2, 2)
+    obs = []
+    for angles in (left, right):
+        cos, sin = np.cos(angles), np.sin(angles)
+        # o[n, i] = spin_observable(angles[n, i]) = cos * PAULI_Z + sin * PAULI_X
+        o = np.empty(angles.shape + (2, 2))
+        o[..., 0, 0], o[..., 0, 1], o[..., 1, 0], o[..., 1, 1] = cos, sin, sin, -cos
+        obs.append(o)
+    return np.einsum("ij,npik,nqjl,kl->npq", psi.conj(), obs[0], obs[1], psi).real
+
+
 def correlator(theta_1: float, theta_2: float) -> float:
     """<M(theta_1) x M(theta_2)> on the singlet, exactly."""
-    psi = epr_singlet().amplitudes
-    op = np.kron(spin_observable(theta_1), spin_observable(theta_2))
-    return float(np.real(psi.conj() @ (op @ psi)))
+    return float(_correlators(np.array([[theta_1]], float), np.array([[theta_2]], float))[0, 0, 0])
 
 
 def chsh_value(a: float, a_prime: float, b: float, b_prime: float) -> float:
@@ -222,28 +225,14 @@ def chsh_value(a: float, a_prime: float, b: float, b_prime: float) -> float:
     Angles are raw radians (orientation matters here).  |S| <= 2*sqrt(2)
     for any choice; the canonical angles (0, pi/2, pi/4, 3pi/4) saturate it.
     """
-    return (
-        correlator(a, b)
-        - correlator(a, b_prime)
-        + correlator(a_prime, b)
-        + correlator(a_prime, b_prime)
-    )
+    return float(chsh_values([[a, a_prime, b, b_prime]])[0])
 
 
 def chsh_values(quads) -> np.ndarray:
-    """chsh_value for each row (a, a', b, b') of an (N, 4) angle array.
-
-    Evaluates the same singlet expectations as correlator, batched: the
-    observables form an (N, 4, 2, 2) array and one einsum gives all 4N
-    correlators.
-    """
+    """chsh_value for each row (a, a', b, b') of an (N, 4) angle array,
+    from all 4N correlators in one batch."""
     quads = np.asarray(quads, dtype=float)
     if quads.ndim != 2 or quads.shape[1] != 4:
         raise ValidationError(f"chsh_values needs an (N, 4) angle array, got shape {quads.shape}")
-    psi = epr_singlet().amplitudes.reshape(2, 2)
-    cos, sin = np.cos(quads), np.sin(quads)
-    # obs[n, i] = spin_observable(quads[n, i]) = cos * PAULI_Z + sin * PAULI_X
-    obs = np.empty(quads.shape + (2, 2))
-    obs[..., 0, 0], obs[..., 0, 1], obs[..., 1, 0], obs[..., 1, 1] = cos, sin, sin, -cos
-    e = np.einsum("ij,npik,nqjl,kl->npq", psi.conj(), obs[:, :2], obs[:, 2:], psi).real
+    e = _correlators(quads[:, :2], quads[:, 2:])
     return e[:, 0, 0] - e[:, 0, 1] + e[:, 1, 0] + e[:, 1, 1]

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .entropy import VennDiagram
 from .errors import ValidationError
 from .linalg import DensityOperator, PureState
 from .scenarios import DiagramBundle, DiagramReport
@@ -261,16 +260,6 @@ def _region_label(subset: tuple[str, ...], parties: tuple[str, ...]) -> str:
     if not rest:
         return ":".join(subset)
     return ":".join(subset) + "|" + ",".join(rest)
-
-
-def render_venn_table(diagram: VennDiagram) -> str:
-    """Fixed-width text table of Venn regions.
-
-    Two and three parties get conditional/mutual region labels; larger
-    diagrams fall back to a plain subset listing.  Atom values always
-    carry an explicit sign.
-    """
-    return "\n".join(_atoms_table(_canonical(diagram.atoms), diagram.parties))
 
 
 def _two_columns(rows, label_head: str, value_head: str, spec: str) -> list[str]:

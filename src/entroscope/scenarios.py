@@ -30,7 +30,6 @@ from .measurement import (
     CLASSICAL_BOUND,
     TSIRELSON_BOUND,
     MeasurementSetup,
-    chsh_value,
     chsh_values,
     device_partition,
     full_partition,
@@ -87,10 +86,10 @@ class DiagramBundle:
     audit: InequalityAudit
 
     @classmethod
-    def of(cls, rho, partition: PartitionSpec) -> "DiagramBundle":
-        """Joints, atoms and audit of `rho` under `partition`; factors the
-        partition leaves out are traced out first."""
-        joints = grouped_entropies(rho, partition)
+    def of(cls, state, partition: PartitionSpec) -> "DiagramBundle":
+        """Joints, atoms and audit of `state`, pure or density, under
+        `partition`; factors the partition leaves out are traced out first."""
+        joints = grouped_entropies(state, partition)
         return cls(
             party_factors=tuple((n, tuple(sorted(fs))) for n, fs in partition.parties),
             venn=venn_atoms(joints),
@@ -121,7 +120,7 @@ class DiagramReport:
 def run_epr_pair() -> DiagramReport:
     """Venn diagram of the bare singlet under the (L, R) split."""
     state = epr_singlet()
-    bundle = DiagramBundle.of(state.to_density(), PartitionSpec.of(L=[0], R=[1]))
+    bundle = DiagramBundle.of(state, PartitionSpec.of(L=[0], R=[1]))
     return DiagramReport(scenario="epr_pair", parameters={}, diagram=bundle)
 
 
@@ -208,12 +207,11 @@ def run_epr_measure(theta1, theta2, shots: int = 0, seed: int | None = None) -> 
     setup = MeasurementSetup.of((0, theta1, "A1"), (1, theta2, "A2"))
     (_, t1, _), (_, t2, _) = setup.taps
     post = premeasure(epr_singlet(), setup)
-    rho = post.to_density()
 
-    full_bundle = DiagramBundle.of(rho, full_partition(post, setup))
+    full_bundle = DiagramBundle.of(post, full_partition(post, setup))
     q_dev = mutual_entropy(full_bundle.venn.joints, "Q", ("A1", "A2"))
 
-    dev_bundle = DiagramBundle.of(rho, device_partition(post, setup))
+    dev_bundle = DiagramBundle.of(post, device_partition(post, setup))
     exact_mutual = mutual_entropy(dev_bundle.venn.joints, "A1", "A2")
 
     sampled = None
@@ -250,7 +248,6 @@ def run_cat(with_observer: bool = False, grouping: str = "atom_gamma") -> Diagra
             f"grouping must be one of {list(CAT_GROUPINGS)}, got {grouping!r}"
         )
     state = cat_chain(with_observer)
-    rho = state.to_density()
     atomic = frozenset({0, 1}) if grouping == "atom_gamma" else frozenset({0})
     cat_side = frozenset({2}) if grouping == "atom_gamma" else frozenset({1, 2})
 
@@ -261,14 +258,14 @@ def run_cat(with_observer: bool = False, grouping: str = "atom_gamma") -> Diagra
     else:
         partition = PartitionSpec((("atomic", atomic), ("cat", cat_side)))
 
-    bundle = DiagramBundle.of(rho, partition)
+    bundle = DiagramBundle.of(state, partition)
     joints = bundle.venn.joints
 
     reduced = None
     if with_observer:
         q_dev = mutual_entropy(joints, "atomic", ("cat", "observer"))
         pair_part = PartitionSpec((("cat", cat_side), ("observer", frozenset({3}))))
-        reduced = DiagramBundle.of(rho, pair_part)
+        reduced = DiagramBundle.of(state, pair_part)
     else:
         q_dev = mutual_entropy(joints, "atomic", "cat")
 
@@ -300,7 +297,7 @@ def run_chsh(
     angles = tuple(float(a) for a in angles)
     if len(angles) != 4:
         raise ValidationError(f"chsh needs 4 angles, got {len(angles)}")
-    value = chsh_value(*angles)
+    value = float(chsh_values([angles])[0])
     block = {
         "angles": angles,
         "value": value,

@@ -7,9 +7,11 @@ eigensolver tests check that against Jacobi), partial traces from
 explicit index loops (the package reshapes and calls np.trace), Venn
 atoms from hand-solved inclusion-exclusion formulas (the package solves
 a dense linear system), the characteristic polynomial from
-Faddeev-LeVerrier trace recursion (no eigensolver at all), and sampled
+Faddeev-LeVerrier trace recursion (no eigensolver at all), sampled
 records from a per-shot loop over the same seeded draws (the package
-fills one outcome array).  Agreement
+fills one outcome array), and singlet correlators from the dense 4x4
+operator np.kron builds (the package contracts 2x2 observables in one
+einsum).  Agreement
 between the two routes is the point of the tests.
 """
 
@@ -202,6 +204,15 @@ def record_bits(records) -> np.ndarray:
 def singlet_expectation(x: float, y: float) -> float:
     # analytic <M(x) x M(y)> on the singlet
     return -math.cos(x - y)
+
+
+def singlet_correlator_kron(x: float, y: float) -> float:
+    """<M(x) x M(y)> on the singlet as psi^dag (M(x) kron M(y)) psi."""
+    from entroscope.states import epr_singlet, spin_observable
+
+    psi = epr_singlet().amplitudes
+    op = np.kron(spin_observable(x), spin_observable(y))
+    return float(np.real(psi.conj() @ (op @ psi)))
 
 
 def deterministic_chsh_values() -> list:

@@ -526,6 +526,28 @@ def test_negative_exponent_angles_parse_after_a_space(capsys, fmt, spaced, joine
     assert (code, out, err) == run_main(capsys, *joined, "--format", fmt)
 
 
+_BAD_INF = "error: bad angle '-inf': expected finite radians or one of ['x', 'z']\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("args, err", [
+    (("chsh", "--angl", "-1e-3,0,0,0"), "error: unrecognized arguments: --angl -1e-3,0,0,0\n"),
+    (("chsh", "--angl=-1e-3,0,0,0"), "error: unrecognized arguments: --angl=-1e-3,0,0,0\n"),
+    (("chsh", "--scan", "3", "--se", "1"), "error: unrecognized arguments: --se 1\n"),
+    (("scenario", "epr_pair", "--form", "json"), "error: unrecognized arguments: --form json\n"),
+    (("scenario", "epr_measure", "--theta1", "-inf", "--theta2", "x"), _BAD_INF),
+    (("scenario", "epr_measure", "--theta1=-inf", "--theta2", "x"), _BAD_INF),
+    (("scenario", "epr_measure", "--theta1", "--theta2", "z"),
+     "error: argument --theta1: expected one argument\n"),
+], ids=["abbrev-spaced", "abbrev-joined", "abbrev-seed", "abbrev-format", "inf-spaced",
+        "inf-joined", "missing-value"])
+def test_flags_have_one_spelling(capsys, fmt, args, err):
+    # an abbreviated flag used to run (--angl=...) or to bypass the
+    # negative-angle join (--angl -1e-3); a value starting with "-" after
+    # an angle flag is now always that flag's value
+    assert run_main(capsys, *args, "--format", fmt) == (2, "", err)
+
+
 _ANGLE_TEXT = st.one_of(
     st.floats().map(repr),  # nan, inf, -inf, 1e+308, -1e-05, ...
     st.floats(-1e3, 1e3).map(lambda x: f"{x:e}"),
@@ -583,6 +605,38 @@ def test_fuzz_chsh_flags(angles, joined, scan, seed):
         code = _same_in_both_formats(argv)
     if big:
         assert code == 2
+
+
+_SEED_TEXT = st.one_of(
+    st.integers(-3, 2**70).map(str),
+    st.sampled_from([" 7 ", "\t3\n", "1_000", "_1", "1__0", "+5", "-0", "+-1", "--1", "0x10", "",
+                     " ", "1e3", "5.0", "\u0663", "\u0664\u0662", "\uff17", "\u2460"]),
+    # int() refuses strings of more than 4,300 digits
+    st.integers(4299, 4302).map(lambda n: "9" * n),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=6),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=_SEED_TEXT, argv=st.sampled_from([
+    ("chsh", "--scan", "1"),
+    ("scenario", "epr_measure", "--theta1", "z", "--theta2", "x", "--shots", "1"),
+]))
+def test_fuzz_seed_env_var(value, argv):
+    try:
+        want = int(value)
+    except ValueError:
+        want = -1
+    with mock.patch.dict(os.environ, {cli.SEED_ENV_VAR: value}):
+        code = _same_in_both_formats(argv)
+        _, out, _ = _run_quietly([*argv, "--format", "json"])
+    if want >= 0:
+        assert code == 0
+        assert json.loads(out)["seed"] == want
+    else:
+        assert code == 2
+    # --seed takes the same text to the same outcome
+    assert _run_quietly([*argv, f"--seed={value}", "--format", "json"])[0] == code
 
 
 _FACTOR_INDEX = st.integers(-3, 6) | st.sampled_from([10**6, 2**70, -(10**30)])

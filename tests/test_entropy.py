@@ -83,6 +83,16 @@ def test_partition_spec_validation():
         joint_entropies(rho, PartitionSpec.of(A=[0], B=[1]))  # misses factor 2
 
 
+def test_joint_entropies_rejects_partial_cover_of_a_pure_state_alike():
+    state = ghz(3)
+    messages = []
+    for s in (state, state.to_density()):
+        with pytest.raises(ValidationError) as exc:
+            joint_entropies(s, PartitionSpec.of(A=[0], B=[1]))
+        messages.append(str(exc.value))
+    assert messages == ["partition covers factors [0, 1] but the state has 3 factors"] * 2
+
+
 @pytest.mark.parametrize("name", ["A,B", "A:B", "A|B", ",", "|A"])
 def test_partition_spec_rejects_separators_in_names(name):
     # "," joins subset keys and ":" / "|" build table labels, so such a

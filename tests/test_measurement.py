@@ -16,7 +16,6 @@ from entroscope import (
     chsh_values,
     correlator,
     device_joints,
-    device_partition,
     epr_singlet,
     full_partition,
     grouped_entropies,
@@ -102,7 +101,7 @@ def test_repeated_measurement_agrees():
 
 def test_device_diagram_parallel():
     post = premeasure(epr_singlet(), parallel_setup())
-    joints = device_joints(post, parallel_setup(), device_partition(post, parallel_setup()))
+    joints = device_joints(post, parallel_setup())
     atoms = venn_atoms(joints).atoms
     assert atoms[("A1",)] == pytest.approx(0.0, abs=1e-9)
     assert atoms[("A2",)] == pytest.approx(0.0, abs=1e-9)
@@ -111,7 +110,7 @@ def test_device_diagram_parallel():
 
 def test_device_diagram_orthogonal():
     post = premeasure(epr_singlet(), orthogonal_setup())
-    joints = device_joints(post, orthogonal_setup(), device_partition(post, orthogonal_setup()))
+    joints = device_joints(post, orthogonal_setup())
     atoms = venn_atoms(joints).atoms
     assert atoms[("A1",)] == pytest.approx(1.0, abs=1e-9)
     assert atoms[("A2",)] == pytest.approx(1.0, abs=1e-9)
@@ -124,7 +123,7 @@ def test_device_diagrams_stay_classical():
         t1, t2 = rng.uniform(0.0, math.pi, size=2)
         setup = MeasurementSetup.of((0, float(t1), "A1"), (1, float(t2), "A2"))
         post = premeasure(epr_singlet(), setup)
-        joints = device_joints(post, setup, device_partition(post, setup))
+        joints = device_joints(post, setup)
         atoms = venn_atoms(joints).atoms
         assert all(v >= -1e-9 for v in atoms.values())
 
@@ -321,12 +320,19 @@ def test_chsh_deterministic_strategies_respect_bound():
 
 @pytest.mark.parametrize("n", [1, 2, 257])
 def test_chsh_values_match_scalar_chsh_value(n):
+    # chsh_values, chsh_value and correlator share one kernel; the oracle
+    # builds each 4x4 operator with np.kron instead
     rng = np.random.default_rng(1000 + n)
     quads = rng.uniform(-4 * math.pi, 4 * math.pi, size=(n, 4))
     values = chsh_values(quads)
     assert values.shape == (n,)
-    for quad, v in zip(quads, values):
-        assert v == pytest.approx(chsh_value(*quad), abs=1e-12)
+    for (a, ap, b, bp), v in zip(quads, values):
+        e = helpers.singlet_correlator_kron
+        for x, y in ((a, b), (a, bp), (ap, b), (ap, bp)):
+            assert correlator(x, y) == pytest.approx(e(x, y), abs=1e-12)
+        oracle = e(a, b) - e(a, bp) + e(ap, b) + e(ap, bp)
+        assert v == pytest.approx(oracle, abs=1e-12)
+        assert chsh_value(a, ap, b, bp) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_chsh_values_rejects_bad_shape():

@@ -6,22 +6,21 @@ import pytest
 
 from entroscope import (
     DensityOperator,
+    DiagramBundle,
     PartitionSpec,
     ValidationError,
     epr_singlet,
-    joint_entropies,
     random_density,
     run_epr_measure,
     run_epr_pair,
-    venn_atoms,
 )
 from entroscope.report import (
     SCHEMA_VERSION,
     load_state,
     parse_document,
+    diagram_document,
     q9,
     render_report_table,
-    render_venn_table,
     report_document,
     serialize_document,
     serialize_state,
@@ -31,8 +30,13 @@ from entroscope.report import (
 EPR_PARTITION = PartitionSpec.of(L=[0], R=[1])
 
 
-def epr_diagram():
-    return venn_atoms(joint_entropies(epr_singlet().to_density(), EPR_PARTITION))
+def atom_rows(state, partition) -> dict[str, str]:
+    """The atom table of the state-file report, one line per region label."""
+    doc = diagram_document("state.json", DiagramBundle.of(state, partition))
+    lines = render_report_table(doc).splitlines()
+    start = lines.index(next(line for line in lines if line.startswith("region ")))
+    end = lines.index("", start)
+    return {line.split()[0]: line for line in lines[start + 1:end]}
 
 
 def test_q9_rounding_and_negative_zero():
@@ -160,32 +164,26 @@ def test_load_state_error_messages(tmp_path):
         load_state(tmp_path / "missing.json")
 
 
-def test_render_venn_table_epr():
-    text = render_venn_table(epr_diagram())
-    lines = {line.split()[0]: line for line in text.splitlines() if line.strip()}
+def test_report_table_labels_epr_atoms():
+    lines = atom_rows(epr_singlet(), EPR_PARTITION)
     assert "-1.000000000" in lines["L|R"]
     assert "-1.000000000" in lines["R|L"]
     assert "+2.000000000" in lines["L:R"]
 
 
-def test_render_venn_table_independent_bits():
+def test_report_table_labels_independent_bit_atoms():
     rho = DensityOperator(np.eye(4) / 4.0, (2, 2))
-    diagram = venn_atoms(joint_entropies(rho, PartitionSpec.of(A=[0], B=[1])))
-    text = render_venn_table(diagram)
-    lines = {line.split()[0]: line for line in text.splitlines() if line.strip()}
+    lines = atom_rows(rho, PartitionSpec.of(A=[0], B=[1]))
     assert "+1.000000000" in lines["A|B"]
     assert "+1.000000000" in lines["B|A"]
     assert "+0.000000000" in lines["A:B"]
 
 
-def test_render_venn_table_many_parties_falls_back():
+def test_report_table_many_parties_falls_back():
     rho = random_density((2, 2, 2, 2), seed=3)
-    diagram = venn_atoms(
-        joint_entropies(rho, PartitionSpec.of(A=[0], B=[1], C=[2], D=[3]))
-    )
-    text = render_venn_table(diagram)
-    assert "|" not in text  # plain subset listing for >3 parties
-    assert "A,B,C,D" in text
+    lines = atom_rows(rho, PartitionSpec.of(A=[0], B=[1], C=[2], D=[3]))
+    assert not any("|" in label for label in lines)  # plain subset listing for >3 parties
+    assert "A,B,C,D" in lines
 
 
 def test_table_and_json_share_numbers():

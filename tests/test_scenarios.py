@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import helpers
 from entroscope import (
     MeasurementSetup,
+    PureState,
     ValidationError,
     epr_singlet,
     ghz,
@@ -20,8 +22,13 @@ from entroscope import (
 )
 from entroscope import scenarios
 from entroscope.entropy import PartitionSpec
-from entroscope.measurement import TSIRELSON_BOUND, chsh_value
-from entroscope.report import report_document, serialize_document
+from entroscope.measurement import (
+    TSIRELSON_BOUND,
+    chsh_value,
+    device_partition,
+    full_partition,
+)
+from entroscope.report import load_state, report_document, serialize_document
 from entroscope.scenarios import ORTHODOX_LABEL
 
 ORTHOGONAL = math.pi / 2
@@ -308,6 +315,43 @@ def test_diagram_bundle_of_traces_out_uncovered_factors():
     assert bundle.audit.monotonicity_violated == ()
     full = scenarios.DiagramBundle.of(rho, PartitionSpec.of(X=[0, 2, 3], Y=[1]))
     assert full.venn.joints == joint_entropies(rho, PartitionSpec.of(X=[0, 2, 3], Y=[1]))
+
+
+def _pure_states_and_partitions():
+    """Pure states with full and partial partitions: the golden files,
+    ghz(4), and the singlet premeasured at random angles."""
+    states = Path(__file__).parent / "golden" / "states"
+    yield load_state(states / "pure4.json"), [
+        PartitionSpec.of(A=[0], B=[1], C=[2, 3]),
+        PartitionSpec.of(X=[1], Y=[3]),
+    ]
+    yield load_state(states / "pure6.json"), [
+        PartitionSpec.of(A=[0, 1], B=[2, 3], C=[4, 5]),
+        PartitionSpec.of(A=[0], B=[1], C=[2], D=[3], E=[4, 5]),
+        PartitionSpec.of(A=[5], B=[0, 2], C=[4]),
+    ]
+    yield ghz(4), [
+        PartitionSpec.of(X=[0, 2, 3], Y=[1]),
+        PartitionSpec.of(A=[0], B=[1], C=[2], D=[3]),
+        PartitionSpec.of(X=[3], Y=[1]),
+    ]
+    rng = np.random.default_rng(71)
+    for _ in range(8):
+        t1, t2 = rng.uniform(-7.0, 7.0, size=2)
+        setup = MeasurementSetup.of((0, float(t1), "A1"), (1, float(t2), "A2"))
+        post = premeasure(epr_singlet(), setup)
+        yield post, [full_partition(post, setup), device_partition(post, setup)]
+
+
+def test_diagram_bundle_gives_the_same_floats_for_a_pure_state_and_its_density():
+    cases = 0
+    for state, partitions in _pure_states_and_partitions():
+        assert isinstance(state, PureState)
+        for partition in partitions:
+            bundle = scenarios.DiagramBundle.of(state, partition)
+            assert bundle == scenarios.DiagramBundle.of(state.to_density(), partition)
+            cases += 1
+    assert cases == 24
 
 
 def test_reports_are_reproducible():
