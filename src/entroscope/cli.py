@@ -12,16 +12,16 @@ import math
 import os
 import sys
 
-from .entropy import PartitionSpec
+from .entropy import DiagramBundle, PartitionSpec
 from .errors import NumericalFaultError, ValidationError
 from .report import (
+    SCENARIO_IDS,
     diagram_document,
     load_state,
     render_report_table,
     report_document,
     serialize_document,
 )
-from .scenarios import SCENARIO_IDS, DiagramBundle, run_scenario, scenario_parameters
 from .version import __version__
 
 SEED_ENV_VAR = "ENTROSCOPE_SEED"
@@ -113,6 +113,18 @@ def _join_negative_angles(argv) -> list[str]:
     return out
 
 
+def _check_leading_flags(parser: argparse.ArgumentParser, argv) -> None:
+    """Name an unknown flag ahead of the command; argparse would report
+    the missing or invalid command instead ("--vers" -> "required: command").
+    Reads argparse's private flag table; test_mistyped_top_level_flag_is_named
+    fails if a Python release changes it."""
+    for token in argv:
+        if token in ("-", "--") or not token.startswith("-"):
+            return
+        if token.partition("=")[0] not in parser._option_string_actions:
+            raise ValidationError(f"unrecognized arguments: {token}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="entroscope",
@@ -161,6 +173,9 @@ def _emit_doc(doc: dict, fmt: str) -> None:
 
 def _cmd_scenario(args) -> int:
     """scenario and chsh: flags -> run_scenario parameters."""
+    # diagram and audit never load the scenario runners and their modules
+    from .scenarios import run_scenario, scenario_parameters
+
     if args.command == "chsh":
         scenario_id, params = "chsh", {"scan_points": args.scan}
         if args.angles is not None:
@@ -213,7 +228,13 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_join_negative_angles(sys.argv[1:] if argv is None else argv))
+        argv = _join_negative_angles(sys.argv[1:] if argv is None else argv)
+        _check_leading_flags(parser, argv)
+        args = parser.parse_args(argv)
+        # argparse (seen on 3.11) strips the "--" of "--flag=--" and stores []
+        empty = [dest for dest, value in vars(args).items() if value == []]
+        if empty:
+            raise ValidationError(f"argument --{empty[0]}: expected one argument")
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # --help and --version print to stdout and exit 0
         return int(exc.code or 0)
@@ -223,7 +244,3 @@ def main(argv=None) -> int:
     except NumericalFaultError as exc:
         print(f"numerical fault: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -352,3 +352,28 @@ def audit_inequalities(joints: dict[Subset, float]) -> InequalityAudit:
         strong_subadditivity_ok=True,
         strong_subadditivity_worst_slack=ssa_slack,
     )
+
+
+@dataclass(frozen=True)
+class DiagramBundle:
+    """One labeled diagram: party factor map, Venn data, inequality audit."""
+
+    party_factors: tuple[tuple[str, tuple[int, ...]], ...]
+    venn: VennDiagram
+    audit: InequalityAudit
+
+    @classmethod
+    def of(cls, state, partition: PartitionSpec) -> "DiagramBundle":
+        """Joints, atoms and audit of `state`, pure or density, under
+        `partition`; factors the partition leaves out are traced out first."""
+        joints = grouped_entropies(state, partition)
+        return cls(
+            party_factors=tuple((n, tuple(sorted(fs))) for n, fs in partition.parties),
+            venn=venn_atoms(joints),
+            audit=audit_inequalities(joints),
+        )
+
+    @property
+    def center(self) -> float | None:
+        """The ternary center S(A:B:C) of a three-party diagram, else None."""
+        return ternary_center(self.venn) if len(self.venn.parties) == 3 else None

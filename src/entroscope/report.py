@@ -13,15 +13,23 @@ import json
 import math
 import re
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ValidationError
 from .linalg import DensityOperator, PureState
-from .scenarios import DiagramBundle, DiagramReport
 from .version import __version__
 
+if TYPE_CHECKING:  # annotations only: diagram and audit never load scenarios
+    from .entropy import DiagramBundle
+    from .scenarios import DiagramReport
+
 SCHEMA_VERSION = "1.0.0"
+# The scenario ids run_scenario dispatches on.  Unused here: they live in
+# this module only because the CLI parser needs them and diagram and audit,
+# which load report, must not load scenarios.
+SCENARIO_IDS = ("epr_pair", "epr_measure", "cat", "chsh")
 # Largest total dimension a state file may declare: every route to a diagram
 # builds the dense 2**12 x 2**12 density matrix (256 MB) at this size.
 MAX_DENSE_DIM = 2**12

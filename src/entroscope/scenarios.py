@@ -14,17 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import (
-    InequalityAudit,
-    PartitionSpec,
-    VennDiagram,
-    audit_inequalities,
-    grouped_entropies,
-    mutual_entropy,
-    shannon_entropy,
-    ternary_center,
-    venn_atoms,
-)
+from .entropy import DiagramBundle, PartitionSpec, mutual_entropy, shannon_entropy
 from .errors import ValidationError
 from .measurement import (
     CLASSICAL_BOUND,
@@ -36,9 +26,9 @@ from .measurement import (
     premeasure,
     sample_records,
 )
+from .report import SCENARIO_IDS
 from .states import cat_chain, epr_singlet
 
-SCENARIO_IDS = ("epr_pair", "epr_measure", "cat", "chsh")
 CAT_GROUPINGS = ("atom", "atom_gamma")
 CANONICAL_CHSH_ANGLES = (0.0, math.pi / 2.0, math.pi / 4.0, 3.0 * math.pi / 4.0)
 
@@ -75,31 +65,6 @@ _ORTHODOX_ATOMS = {
 def _non_negative(what: str, value: int | None) -> None:
     if value is not None and value < 0:
         raise ValidationError(f"{what} must be >= 0, got {value}")
-
-
-@dataclass(frozen=True)
-class DiagramBundle:
-    """One labeled diagram: party factor map, Venn data, inequality audit."""
-
-    party_factors: tuple[tuple[str, tuple[int, ...]], ...]
-    venn: VennDiagram
-    audit: InequalityAudit
-
-    @classmethod
-    def of(cls, state, partition: PartitionSpec) -> "DiagramBundle":
-        """Joints, atoms and audit of `state`, pure or density, under
-        `partition`; factors the partition leaves out are traced out first."""
-        joints = grouped_entropies(state, partition)
-        return cls(
-            party_factors=tuple((n, tuple(sorted(fs))) for n, fs in partition.parties),
-            venn=venn_atoms(joints),
-            audit=audit_inequalities(joints),
-        )
-
-    @property
-    def center(self) -> float | None:
-        """The ternary center S(A:B:C) of a three-party diagram, else None."""
-        return ternary_center(self.venn) if len(self.venn.parties) == 3 else None
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from io import StringIO
@@ -14,7 +15,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from entroscope import DensityOperator, PureState, cli, epr_singlet, ghz, random_density, scenarios
+from entroscope import (
+    DensityOperator, PureState, cli, epr_singlet, ghz, measurement, random_density, scenarios,
+)
 from entroscope.cli import main
 from entroscope.measurement import MAX_SHOTS
 from entroscope.report import MAX_DENSE_DIM, serialize_state
@@ -234,6 +237,51 @@ def test_shots_over_the_cap_exit_2_before_drawing(capsys, monkeypatch, fmt):
     assert code == 2
     assert out == ""
     assert err == f"error: {shots} shots are too many to hold in memory\n"
+
+
+class GatePassed(Exception):
+    pass
+
+
+def _peak_until_gate_passed(*args) -> int:
+    """Run main until a patched step just past a cap check raises
+    GatePassed; return the peak bytes tracemalloc saw on the way."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(GatePassed):
+            main(list(args))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_shots_one_below_the_cap_pass_the_gate_before_drawing(monkeypatch, fmt):
+    # the draw's first step raises, so the run stops before the byte per
+    # shot of records (about 1 GB here) is allocated
+    def gate_passed(*args, **kwargs):
+        raise GatePassed
+
+    monkeypatch.setattr(measurement, "outcome_probabilities", gate_passed)
+    peak = _peak_until_gate_passed("scenario", "epr_measure", "--theta1", "z", "--theta2", "x",
+                                   "--shots", str(MAX_SHOTS - 1), "--format", fmt)
+    assert peak < 2**20, f"peaked at {peak} bytes before drawing"
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_scan_one_below_the_cap_passes_the_gate(monkeypatch, fmt):
+    # the canonical angle set is evaluated as usual; the first scan block raises
+    evaluate = scenarios.chsh_values
+
+    def single_set_only(quads):
+        if len(quads) > 1:
+            raise GatePassed
+        return evaluate(quads)
+
+    monkeypatch.setattr(scenarios, "chsh_values", single_set_only)
+    peak = _peak_until_gate_passed("chsh", "--scan", str(scenarios.MAX_SCAN_POINTS - 1),
+                                   "--format", fmt)
+    assert peak < 2**20, f"peaked at {peak} bytes before the first scan block"
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])
@@ -495,6 +543,13 @@ def test_argparse_errors_outside_a_format_are_one_line(capsys, args, message):
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_mistyped_top_level_flag_is_named(capsys, fmt):
+    # argparse reported the missing command, or took the format for it
+    for args in (("--vers",), ("--vers", "--format", fmt)):
+        assert run_main(capsys, *args) == (2, "", "error: unrecognized arguments: --vers\n")
+
+
 @pytest.mark.parametrize("args", [("--help",), ("scenario", "-h"), ("chsh", "--help")])
 def test_help_goes_to_stdout_with_exit_0(capsys, args):
     code, out, err = run_main(capsys, *args)
@@ -546,6 +601,24 @@ def test_flags_have_one_spelling(capsys, fmt, args, err):
     # negative-angle join (--angl -1e-3); a value starting with "-" after
     # an angle flag is now always that flag's value
     assert run_main(capsys, *args, "--format", fmt) == (2, "", err)
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("args", [
+    ("diagram", "--state", "s.json", "--partition=--"),
+    ("audit", "--state=--"),
+    ("scenario", "epr_measure", "--theta1=--", "--theta2", "x"),
+    ("scenario", "cat", "--grouping=--"),
+    ("chsh", "--angles=--"),
+    ("chsh", "--scan=--"),
+    ("chsh", "--seed=--"),
+])
+def test_double_dash_as_a_flag_value_exits_2(capsys, fmt, args):
+    # argparse (seen on 3.11) hands the command an empty list for "--flag=--",
+    # which ended in a traceback and exit 1
+    code, out, err = run_main(capsys, *args, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 _ANGLE_TEXT = st.one_of(

@@ -1,0 +1,87 @@
+"""The start-up path of a CLI process, each check in a fresh interpreter:
+what `import entroscope` and each command load, what `run()` leaves set,
+and how the process ends when its stdout closes early."""
+
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import entroscope
+from test_golden import CASES, GOLDEN
+
+SRC = Path(entroscope.__file__).resolve().parents[1]
+ROOT = SRC.parent
+
+
+def _python(*args, cwd=None, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("ENTROSCOPE_SEED", None)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, timeout=120, **kwargs)
+
+
+def _python_text(*args, cwd=None):
+    return _python(*args, cwd=cwd, capture_output=True, text=True)
+
+
+def test_import_entroscope_loads_no_numpy():
+    res = _python_text("-c", "import sys, entroscope; print('numpy' in sys.modules)")
+    assert (res.returncode, res.stdout, res.stderr) == (0, "False\n", "")
+
+
+@pytest.mark.parametrize("command", ["diagram", "audit"])
+def test_state_commands_leave_the_scenario_modules_unloaded(command):
+    code = (
+        "import sys\n"
+        "from entroscope import cli\n"
+        f"rc = cli.main([{command!r}, '--state', 'states/pure4.json',\n"
+        "               '--partition', 'A=0;B=1;C=2,3', '--format', 'json'])\n"
+        "mods = ('scenarios', 'measurement', 'states')\n"
+        "print(rc, [m for m in mods if 'entroscope.' + m in sys.modules], file=sys.stderr)\n"
+    )
+    res = _python_text("-c", code, cwd=GOLDEN)
+    assert res.stderr == "0 []\n"
+
+
+@pytest.mark.parametrize("name", [
+    "diagram_pure6.json",
+    "audit_density6.table",
+    "scenario_epr_measure_shots65537.json",
+    "chsh_scan4097.json",
+])
+def test_python_m_matches_golden(name):
+    res = _python_text("-m", "entroscope", *CASES[name], cwd=GOLDEN)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout == (GOLDEN / "out" / f"{name}.txt").read_text()
+
+
+def test_run_leaves_the_collector_enabled():
+    code = (
+        "import gc, sys\n"
+        "from entroscope.__main__ import run\n"
+        "sys.argv = ['entroscope', '--version']\n"
+        "rc = run()\n"
+        "print(rc, gc.isenabled(), file=sys.stderr)\n"
+    )
+    res = _python_text("-c", code)
+    assert (res.stdout, res.stderr) == (f"entroscope {entroscope.__version__}\n", "0 True\n")
+
+
+def test_console_script_runs_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert project["project"]["scripts"] == {"entroscope": "entroscope.__main__:run"}
+
+
+def test_closed_stdout_ends_by_sigpipe_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody will read what the process prints
+    try:
+        res = _python("-m", "entroscope", "scenario", "epr_pair", "--format", "json",
+                      stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (res.returncode, res.stderr) == (-signal.SIGPIPE, b"")
