@@ -16,12 +16,12 @@ _MODULE_OF = {
     **dict.fromkeys(("EntroscopeError", "NumericalFaultError", "ValidationError"), "errors"),
     **dict.fromkeys((
         "DensityOperator", "PureState", "hermitian_eig", "hermitian_eigenvalues",
-        "partial_trace", "purity",
+        "partial_trace",
     ), "linalg"),
     **dict.fromkeys((
         "InequalityAudit", "PartitionSpec", "VennDiagram", "audit_inequalities",
         "clamp_spectrum", "conditional_entropy", "grouped_entropies", "joint_entropies",
-        "mutual_entropy", "shannon_entropy", "ternary_center", "venn_atoms",
+        "mutual_entropy", "resum_joints", "shannon_entropy", "ternary_center", "venn_atoms",
         "von_neumann_entropy",
     ), "entropy"),
     **dict.fromkeys((
@@ -40,7 +40,7 @@ _MODULE_OF = {
         "run_epr_pair", "run_scenario",
     ), "scenarios"),
     **dict.fromkeys((
-        "load_state", "parse_document", "render_report_table", "report_document",
+        "load_state", "render_report_table", "report_document",
         "serialize_document", "serialize_state", "state_document",
     ), "report"),
 }

@@ -173,6 +173,9 @@ def _party_order(joints: dict[Subset, float]) -> tuple[str, ...]:
     names = tuple(k[0] for k in joints if len(k) == 1)
     if not names:
         raise ValidationError("joints map has no singleton entries")
+    for key, value in joints.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"joint entropy of {key} is not finite: {value!r}")
     return names
 
 
@@ -223,28 +226,34 @@ class VennDiagram:
     atoms: dict[Subset, float]
 
 
-def venn_atoms(joints: dict[Subset, float]) -> VennDiagram:
-    """Mobius inversion: solve joints[U] = sum over T with T & U != {} of atoms[T].
+def resum_joints(atoms: dict[Subset, float]) -> dict[Subset, float]:
+    """The forward Mobius map: joints[U] = sum of atoms[T] over T meeting U."""
+    return {u: sum(v for t, v in atoms.items() if set(t) & set(u)) for u in atoms}
 
-    A direct dense solve; at most 2^5 - 1 = 31 unknowns.  Atoms may be
-    negative for quantum states and are returned untouched."""
+
+def venn_atoms(joints: dict[Subset, float]) -> VennDiagram:
+    """Mobius inversion in closed form (Yeung's I-measure): the atom of
+    region T is a(T) = -sum over W in T of (-1)^(|T|-|W|) S(N - W), with
+    S of no party 0; for two parties a(A) = S(AB) - S(B).  Atoms may be
+    negative for quantum states and are returned untouched; re-summing
+    them must give the joints back within ATOM_RESIDUAL_TOL."""
     names = _party_order(joints)
     subsets = _canonical_subsets(names)
     if set(joints) != set(subsets):
         missing = sorted(set(subsets) - set(joints))
         raise ValidationError(f"joints map incomplete; missing {missing[:4]}")
-    m = np.zeros((len(subsets), len(subsets)))
-    for i, u in enumerate(subsets):
-        su = set(u)
-        for j, t in enumerate(subsets):
-            if su & set(t):
-                m[i, j] = 1.0
-    rhs = np.array([joints[u] for u in subsets])
-    sol = np.linalg.solve(m, rhs)
-    residual = float(np.max(np.abs(m @ sol - rhs)))
+    s = {**joints, (): 0.0}
+    atoms = {
+        t: -math.fsum(
+            (-1) ** (len(t) - len(w)) * s[tuple(n for n in names if n not in w)]
+            for r in range(len(t) + 1)
+            for w in combinations(t, r)
+        )
+        for t in subsets
+    }
+    residual = max(abs(sj - joints[u]) for u, sj in resum_joints(atoms).items())
     if residual > ATOM_RESIDUAL_TOL:
         raise NumericalFaultError(f"atom system residual {residual:.3e} exceeds tolerance")
-    atoms = {t: float(sol[j]) for j, t in enumerate(subsets)}
     return VennDiagram(parties=names, joints=dict(joints), atoms=atoms)
 
 

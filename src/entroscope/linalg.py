@@ -155,13 +155,11 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     return DensityOperator(t.reshape(d, d), kept_dims)
 
 
-def hermitian_eig(m, eigvals_only: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a complex Hermitian matrix by LAPACK (numpy).
+def hermitian_eig(m) -> np.ndarray:
+    """Eigenvalues of a complex Hermitian matrix by LAPACK (numpy), ascending.
 
     LAPACK reads one triangle only, so the input is checked here first:
-    square, finite, and Hermitian within HERMITIAN_TOL.  Returns the
-    eigenvalues in ascending order and, unless `eigvals_only`, the matching
-    eigenvector columns, so v @ diag(w) @ v.conj().T reconstructs the input.
+    square, finite, and Hermitian within HERMITIAN_TOL.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -171,19 +169,11 @@ def hermitian_eig(m, eigvals_only: bool = False) -> np.ndarray | tuple[np.ndarra
     if dev > HERMITIAN_TOL:
         raise ValidationError(f"hermitian check failed: max deviation {dev:.3e}")
     try:
-        if eigvals_only:
-            return np.linalg.eigvalsh(a)
-        w, v = np.linalg.eigh(a)
+        return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalFaultError(f"eigensolver failed: {exc}") from exc
-    return w, v
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, ascending."""
-    return hermitian_eig(m, eigvals_only=True)
-
-
-def purity(rho: DensityOperator) -> float:
-    """Tr(rho^2); 1 for pure states, 1/d for the maximally mixed state."""
-    return float(np.trace(rho.matrix @ rho.matrix).real)
+    return hermitian_eig(m)

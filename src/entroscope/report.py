@@ -2,7 +2,7 @@
 
 Documents are plain dicts with a fixed key order and every float
 quantized to nine fractional digits, so serializing the same report
-twice yields byte-identical output and parse(serialize(doc)) == doc.
+twice yields byte-identical output and json.loads(serialize(doc)) == doc.
 The table renderer works from the same document, which keeps the two
 formats numerically identical.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -33,7 +32,6 @@ SCENARIO_IDS = ("epr_pair", "epr_measure", "cat", "chsh")
 # Largest total dimension a state file may declare: every route to a diagram
 # builds the dense 2**12 x 2**12 density matrix (256 MB) at this size.
 MAX_DENSE_DIM = 2**12
-_SEMVER = re.compile(r"^\d+\.\d+\.\d+$")
 
 
 def q9(x: float) -> float:
@@ -90,20 +88,6 @@ def serialize_document(doc: dict) -> str:
     out: list[str] = []
     _emit(doc, out)
     return "".join(out)
-
-
-def parse_document(text: str) -> dict:
-    """Parse canonical JSON and check the schema version tag."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError("document must be a JSON object")
-    version = doc.get("schema_version")
-    if not isinstance(version, str) or not _SEMVER.match(version):
-        raise ValidationError(f"schema_version missing or not semver: {version!r}")
-    return doc
 
 
 def _canonical(value):

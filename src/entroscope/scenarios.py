@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import DiagramBundle, PartitionSpec, mutual_entropy, shannon_entropy
+from .entropy import DiagramBundle, PartitionSpec, mutual_entropy, resum_joints, shannon_entropy
 from .errors import ValidationError
 from .measurement import (
     CLASSICAL_BOUND,
@@ -113,10 +113,7 @@ def orthodox_reference(case: str) -> dict:
     if case not in _ORTHODOX_ATOMS:
         raise ValidationError(f"unknown orthodox case {case!r}, expected parallel|orthogonal")
     atoms = dict(_ORTHODOX_ATOMS[case])
-    joints = {
-        u: sum(v for t, v in atoms.items() if set(t) & set(u))
-        for u in atoms
-    }
+    joints = resum_joints(atoms)
     return {
         "case": case,
         "label": ORTHODOX_LABEL,

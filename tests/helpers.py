@@ -5,21 +5,27 @@ eigendecompositions come from cyclic Jacobi sweeps (the package calls
 LAPACK through numpy; entropy_oracle shares LAPACK with it, and the
 eigensolver tests check that against Jacobi), partial traces from
 explicit index loops (the package reshapes and calls np.trace), Venn
-atoms from hand-solved inclusion-exclusion formulas (the package solves
-a dense linear system), the characteristic polynomial from
-Faddeev-LeVerrier trace recursion (no eigensolver at all), sampled
+atoms from a dense solve of the incidence system and joints re-summed
+through that matrix (the package evaluates the closed-form alternating
+sums; venn_atoms_2 and venn_atoms_3 write the same sums out by hand, so
+they pin the formula, not the route), the characteristic polynomial
+from Faddeev-LeVerrier trace recursion (no eigensolver at all), sampled
 records from a per-shot loop over the same seeded draws (the package
 fills one outcome array), and singlet correlators from the dense 4x4
 operator np.kron builds (the package contracts 2x2 observables in one
-einsum).  Agreement
-between the two routes is the point of the tests.
+einsum).  Agreement between the two routes is the point of the tests.
+Purity and the schema-checking document parser are test-only tools.
 """
 
+import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+
+from entroscope import ValidationError
 
 
 JACOBI_OFF_TOL = 1e-13
@@ -160,12 +166,45 @@ def venn_atoms_3(j: dict) -> dict:
     }
 
 
+def incidence_matrix(subsets) -> np.ndarray:
+    """M[i, j] = 1 where region subsets[j] meets subset subsets[i]."""
+    return np.array([[1.0 if set(u) & set(t) else 0.0 for t in subsets] for u in subsets])
+
+
+def venn_atoms_solve(joints: dict) -> dict:
+    """Atoms by a dense solve of joints[U] = sum of atoms[T] over T meeting U."""
+    subsets = list(joints)
+    sol = np.linalg.solve(incidence_matrix(subsets), [joints[u] for u in subsets])
+    return {t: float(x) for t, x in zip(subsets, sol)}
+
+
 def resum_joints(atoms: dict) -> dict:
-    """joints[U] = sum of atoms[T] over T intersecting U (Mobius forward map)."""
-    return {
-        u: sum(v for t, v in atoms.items() if set(t) & set(u))
-        for u in atoms
-    }
+    """joints[U] = sum of atoms[T] over T meeting U, as one incidence product."""
+    subsets = list(atoms)
+    sums = incidence_matrix(subsets) @ [atoms[t] for t in subsets]
+    return {u: float(x) for u, x in zip(subsets, sums)}
+
+
+def purity(rho) -> float:
+    """Tr(rho^2) of a DensityOperator; 1 for pure states, 1/d when maximally mixed."""
+    return float(np.trace(rho.matrix @ rho.matrix).real)
+
+
+_SEMVER = re.compile(r"^\d+\.\d+\.\d+$")
+
+
+def parse_document(text: str) -> dict:
+    """Parse a canonical JSON document and check its schema version tag."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"invalid JSON document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError("document must be a JSON object")
+    version = doc.get("schema_version")
+    if not isinstance(version, str) or not _SEMVER.match(version):
+        raise ValidationError(f"schema_version missing or not semver: {version!r}")
+    return doc
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from entroscope import (
     venn_atoms,
     von_neumann_entropy,
 )
-from entroscope.linalg import partial_trace, purity
+from entroscope.linalg import partial_trace
 from entroscope.measurement import TSIRELSON_BOUND
 
 GRID = np.linspace(0.0, math.pi / 2.0, 21)
@@ -57,7 +57,7 @@ def measurement_grid():
             rho = post.to_density()
             joints = joint_entropies(rho, PartitionSpec.of(**part_names))
             centers[i, j] = ternary_center(venn_atoms(joints))
-            purities[i, j] = purity(rho)
+            purities[i, j] = helpers.purity(rho)
     return centers, purities
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from entroscope import (
     venn_atoms,
     von_neumann_entropy,
 )
+from entroscope import entropy
 from entroscope.linalg import partial_trace
 
 # h(3/4) = 2 - (3/4) log2 3, evaluated independently
@@ -178,7 +180,8 @@ def test_venn_atoms_independent_bits():
 
 
 def test_venn_atoms_match_closed_forms():
-    # the linear-solve route must agree with hand-solved inclusion-exclusion
+    # the library's alternating sums must agree with the 2- and 3-party
+    # sums written out by hand
     for seed in range(8):
         rho2 = random_density((2, 2), seed=seed)
         j2 = joint_entropies(rho2, PartitionSpec.of(A=[0], B=[1]))
@@ -192,6 +195,67 @@ def test_venn_atoms_match_closed_forms():
         atoms3 = venn_atoms(j3).atoms
         for subset, val in helpers.venn_atoms_3(j3).items():
             assert atoms3[subset] == pytest.approx(val, abs=1e-9)
+
+
+def _random_joints(rng, parties: int) -> dict:
+    names = "ABCDE"[:parties]
+    return {
+        subset: float(rng.uniform(0.0, 3.0))
+        for r in range(1, parties + 1)
+        for subset in itertools.combinations(names, r)
+    }
+
+
+@pytest.mark.parametrize("parties", [1, 2, 3, 4, 5])
+def test_venn_atoms_match_dense_solve_on_random_joints(parties):
+    # arbitrary maps, not only entropies: the closed form inverts the
+    # incidence system, whatever the right-hand side
+    rng = np.random.default_rng(100 + parties)
+    for _ in range(20):
+        joints = _random_joints(rng, parties)
+        atoms = venn_atoms(joints).atoms
+        oracle = helpers.venn_atoms_solve(joints)
+        assert set(atoms) == set(oracle)
+        assert max(abs(atoms[t] - oracle[t]) for t in oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("factors", [4, 5])
+def test_venn_atoms_match_dense_solve_on_random_states(factors):
+    dims = (2,) * factors
+    part = PartitionSpec.of(**{n: [i] for i, n in enumerate("ABCDE"[:factors])})
+    for seed in range(4):
+        for state in (random_density(dims, seed=seed), random_pure(dims, seed=seed)):
+            joints = joint_entropies(state, part)
+            atoms = venn_atoms(joints).atoms
+            oracle = helpers.venn_atoms_solve(joints)
+            assert max(abs(atoms[t] - oracle[t]) for t in oracle) <= 1e-12
+
+
+def test_atom_residual_guard_raises(monkeypatch):
+    resum = entropy.resum_joints
+
+    def off_by_1e8(atoms):
+        joints = resum(atoms)
+        joints[next(iter(joints))] += 1e-8
+        return joints
+
+    monkeypatch.setattr(entropy, "resum_joints", off_by_1e8)
+    joints = joint_entropies(ghz(3).to_density(), PartitionSpec.of(A=[0], B=[1], C=[2]))
+    with pytest.raises(NumericalFaultError, match="atom system residual"):
+        venn_atoms(joints)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("check", [
+    venn_atoms,
+    audit_inequalities,
+    lambda j: conditional_entropy(j, "A", "B"),
+    lambda j: mutual_entropy(j, "A", "B"),
+], ids=["venn_atoms", "audit_inequalities", "conditional_entropy", "mutual_entropy"])
+def test_non_finite_joint_is_rejected(check, bad):
+    joints = {("A",): bad, ("B",): 1.0, ("A", "B"): 0.0}
+    with pytest.raises(ValidationError, match=r"joint entropy of \('A',\) is not finite"):
+        check(joints)
 
 
 def test_mobius_round_trip():

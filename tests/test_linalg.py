@@ -17,7 +17,6 @@ from entroscope.linalg import (
     hermitian_eig,
     hermitian_eigenvalues,
     partial_trace,
-    purity,
 )
 from entroscope.states import PAULI_X, PAULI_Z
 
@@ -161,23 +160,19 @@ def test_eigenvalues_singlet_projector():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32])
-def test_eig_agrees_with_lapack_and_reconstructs(n):
+def test_eig_agrees_with_jacobi(n):
     # the library is LAPACK; the independent route is the Jacobi oracle
     rng = np.random.default_rng(n)
     for _ in range(4):
         a = helpers.random_hermitian(rng, n)
-        w, v = hermitian_eig(a)
+        w = hermitian_eig(a)
         assert np.all(np.diff(w) >= 0)
         assert np.max(np.abs(w - helpers.jacobi_eig(a)[0])) < 1e-10
-        assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - a)) < 1e-10
-        assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-10
 
 
 def test_eig_degenerate_spectra():
     for a in (np.eye(4), np.eye(8) / 8.0, np.diag([1.0, 1.0, 0.0, 0.0])):
-        w, v = hermitian_eig(a)
-        assert np.max(np.abs(w - helpers.jacobi_eig(a)[0])) < 1e-12
-        assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - a)) < 1e-12
+        assert np.max(np.abs(hermitian_eig(a) - helpers.jacobi_eig(a)[0])) < 1e-12
 
 
 def test_non_finite_entries_are_rejected():
@@ -193,10 +188,9 @@ def test_non_finite_entries_are_rejected():
             hermitian_eigenvalues(m)
 
 
-def test_eigenvalues_only_match_full_decomposition():
+def test_hermitian_eigenvalues_is_hermitian_eig():
     a = helpers.random_hermitian(np.random.default_rng(3), 16)
-    assert np.array_equal(hermitian_eigenvalues(a), hermitian_eig(a, eigvals_only=True))
-    assert np.max(np.abs(hermitian_eigenvalues(a) - hermitian_eig(a)[0])) < 1e-12
+    assert np.array_equal(hermitian_eigenvalues(a), hermitian_eig(a))
 
 
 def test_lapack_failure_is_a_numerical_fault(monkeypatch):
@@ -204,10 +198,8 @@ def test_lapack_failure_is_a_numerical_fault(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    monkeypatch.setattr(np.linalg, "eigh", fail)
-    for eigvals_only in (False, True):
-        with pytest.raises(NumericalFaultError, match="eigensolver failed"):
-            hermitian_eig(np.eye(2), eigvals_only=eigvals_only)
+    with pytest.raises(NumericalFaultError, match="eigensolver failed"):
+        hermitian_eig(np.eye(2))
 
 
 def test_eig_rejects_non_hermitian():
@@ -225,10 +217,10 @@ def test_density_eigenvalues_sum_to_one():
 
 
 def test_purity_and_purity_check():
-    assert purity(epr_singlet().to_density()) >= 1 - 1e-9
+    assert helpers.purity(epr_singlet().to_density()) >= 1 - 1e-9
     mixed = DensityOperator(I2 / 2.0, (2,))
-    assert purity(mixed) < 1 - 1e-9
-    assert abs(purity(mixed) - 0.5) < 1e-12
+    assert helpers.purity(mixed) < 1 - 1e-9
+    assert abs(helpers.purity(mixed) - 0.5) < 1e-12
     # either marginal of the singlet is maximally mixed
     marginal = partial_trace(epr_singlet().to_density(), (0,))
-    assert purity(marginal) < 1 - 1e-9
+    assert helpers.purity(marginal) < 1 - 1e-9

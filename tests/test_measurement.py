@@ -28,7 +28,7 @@ from entroscope import (
     venn_atoms,
 )
 from entroscope import linalg, measurement
-from entroscope.linalg import partial_trace, purity
+from entroscope.linalg import partial_trace
 from entroscope.measurement import CLASSICAL_BOUND, MAX_SHOTS, TSIRELSON_BOUND
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -83,7 +83,7 @@ def test_premeasure_preserves_purity():
         t1, t2 = rng.uniform(0.0, math.pi, size=2)
         setup = MeasurementSetup.of((0, float(t1), "A1"), (1, float(t2), "A2"))
         post = premeasure(epr_singlet(), setup)
-        assert purity(post.to_density()) == pytest.approx(1.0, abs=1e-9)
+        assert helpers.purity(post.to_density()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_repeated_measurement_agrees():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from entroscope import (
     DensityOperator,
     DiagramBundle,
@@ -17,7 +18,6 @@ from entroscope import (
 from entroscope.report import (
     SCHEMA_VERSION,
     load_state,
-    parse_document,
     diagram_document,
     q9,
     render_report_table,
@@ -54,13 +54,13 @@ def test_serialized_numbers_have_nine_digits():
 
 def test_serialize_parse_round_trip():
     doc = report_document(run_epr_pair())
-    assert parse_document(serialize_document(doc)) == doc
+    assert helpers.parse_document(serialize_document(doc)) == doc
 
 
 def test_round_trip_with_all_blocks():
     rep = run_epr_measure(0.0, 0.0, shots=64, seed=4)
     doc = report_document(rep)
-    assert parse_document(serialize_document(doc)) == doc
+    assert helpers.parse_document(serialize_document(doc)) == doc
 
 
 def test_document_key_order_is_stable():
@@ -90,11 +90,11 @@ def test_identical_runs_serialize_identically():
 
 def test_parse_document_checks_schema_version():
     with pytest.raises(ValidationError):
-        parse_document(json.dumps({"schema_version": "1.0"}))
+        helpers.parse_document(json.dumps({"schema_version": "1.0"}))
     with pytest.raises(ValidationError):
-        parse_document(json.dumps({"scenario": "epr_pair"}))
+        helpers.parse_document(json.dumps({"scenario": "epr_pair"}))
     with pytest.raises(ValidationError):
-        parse_document("{not json")
+        helpers.parse_document("{not json")
 
 
 def test_state_file_round_trip(tmp_path):

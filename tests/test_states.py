@@ -16,7 +16,7 @@ from entroscope import (
     spin_observable,
     von_neumann_entropy,
 )
-from entroscope.linalg import partial_trace, purity
+from entroscope.linalg import partial_trace
 from entroscope.states import PAULI_X, PAULI_Z
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -58,7 +58,7 @@ def test_ghz_amplitudes_and_size_check():
 
 def test_ghz_reductions():
     rho = ghz(3).to_density()
-    assert purity(rho) == pytest.approx(1.0, abs=1e-12)
+    assert helpers.purity(rho) == pytest.approx(1.0, abs=1e-12)
     pair = partial_trace(rho, (0, 1)).matrix
     expect = np.zeros((4, 4), dtype=complex)
     expect[0, 0] = expect[3, 3] = 0.5
