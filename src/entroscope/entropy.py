@@ -10,13 +10,14 @@ are reported as-is, never clamped.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .errors import NumericalFaultError, ValidationError
-from .linalg import PSD_CLAMP, DensityOperator, PureState, hermitian_eigenvalues, partial_trace
+from .linalg import PSD_CLAMP, DensityOperator, PureState, _index, hermitian_eigenvalues, partial_trace
 
 PROB_SUM_TOL = 1e-9
 ATOM_RESIDUAL_TOL = 1e-9
@@ -78,7 +79,7 @@ class PartitionSpec:
     parties: tuple[tuple[str, frozenset[int]], ...]
 
     def __post_init__(self):
-        parties = tuple((str(n), frozenset(int(f) for f in fs)) for n, fs in self.parties)
+        parties = tuple((str(n), frozenset(map(_index, fs))) for n, fs in self.parties)
         if not 1 <= len(parties) <= MAX_PARTIES:
             raise ValidationError(f"need 1..{MAX_PARTIES} parties, got {len(parties)}")
         names = [n for n, _ in parties]
@@ -107,10 +108,7 @@ class PartitionSpec:
 
     @property
     def all_factors(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for _, fs in self.parties:
-            out |= fs
-        return out
+        return frozenset().union(*(fs for _, fs in self.parties))
 
     def factors_of(self, subset) -> frozenset[int]:
         lookup = dict(self.parties)
@@ -149,20 +147,14 @@ def grouped_entropies(
 ) -> dict[Subset, float]:
     """joint_entropies for a partition that may cover only part of the state.
 
-    A pure state is turned into its density operator here, once.  Uncovered
-    factors are traced out first; party factor indices refer to the
-    original state."""
+    A pure state is turned into its density operator here, once.  Each
+    subset is traced straight from it, so uncovered factors are simply
+    never kept; party factor indices refer to the state's factors."""
     n = state.num_factors
     covered = sorted(partition.all_factors)
     if covered[0] < 0 or covered[-1] >= n:
         raise ValidationError(f"partition references factors {covered}, state has {n}")
     rho = state.to_density() if isinstance(state, PureState) else state
-    if len(covered) < n:
-        rho = partial_trace(rho, covered)
-        remap = {old: new for new, old in enumerate(covered)}
-        partition = PartitionSpec(
-            tuple((name, frozenset(remap[f] for f in fs)) for name, fs in partition.parties)
-        )
     return {
         subset: von_neumann_entropy(partial_trace(rho, partition.factors_of(subset)))
         for subset in _canonical_subsets(partition.names)
@@ -174,7 +166,7 @@ def _party_order(joints: dict[Subset, float]) -> tuple[str, ...]:
     if not names:
         raise ValidationError("joints map has no singleton entries")
     for key, value in joints.items():
-        if not math.isfinite(value):
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
             raise ValidationError(f"joint entropy of {key} is not finite: {value!r}")
     return names
 
@@ -197,23 +189,24 @@ def _require(joints: dict[Subset, float], key: Subset) -> float:
     return joints[key]
 
 
-def conditional_entropy(joints: dict[Subset, float], a, b) -> float:
-    """S(A|B) = S(AB) - S(B) for disjoint party groups A, B."""
+def _disjoint_groups(joints: dict[Subset, float], a, b) -> tuple[Subset, Subset, Subset]:
+    """Party groups A and B as subset keys, checked disjoint, and their union."""
     names = _party_order(joints)
     sa, sb = _as_subset(names, a), _as_subset(names, b)
     if set(sa) & set(sb):
         raise ValidationError(f"groups {sa} and {sb} overlap")
-    union = tuple(n for n in names if n in set(sa) | set(sb))
+    return sa, sb, tuple(n for n in names if n in sa or n in sb)
+
+
+def conditional_entropy(joints: dict[Subset, float], a, b) -> float:
+    """S(A|B) = S(AB) - S(B) for disjoint party groups A, B."""
+    _, sb, union = _disjoint_groups(joints, a, b)
     return _require(joints, union) - _require(joints, sb)
 
 
 def mutual_entropy(joints: dict[Subset, float], a, b) -> float:
     """S(A:B) = S(A) + S(B) - S(AB) for disjoint party groups A, B."""
-    names = _party_order(joints)
-    sa, sb = _as_subset(names, a), _as_subset(names, b)
-    if set(sa) & set(sb):
-        raise ValidationError(f"groups {sa} and {sb} overlap")
-    union = tuple(n for n in names if n in set(sa) | set(sb))
+    sa, sb, union = _disjoint_groups(joints, a, b)
     return _require(joints, sa) + _require(joints, sb) - _require(joints, union)
 
 
@@ -290,76 +283,57 @@ class InequalityAudit:
 def audit_inequalities(joints: dict[Subset, float]) -> InequalityAudit:
     """Check monotonicity, subadditivity, triangle, and strong subadditivity.
 
-    Violations beyond a 1e-9 slack of the always-valid quantum inequalities
-    raise NumericalFaultError (non-physical state or numerical fault)."""
+    The last three say a mutual entropy cannot be negative, so one walk
+    covers them: for B = {} then each subset, and each disjoint pair
+    (A, C) of subsets disjoint from B, the slack is the conditional
+    mutual entropy S(A:C|B) = S(AB) + S(BC) - S(ABC) - S(B), with
+    S({}) = 0.  B = {} gives subadditivity, and with it the triangle
+    slack S(AC) - |S(A) - S(C)|; B != {} gives strong subadditivity.
+    Violations beyond a 1e-9 slack raise NumericalFaultError
+    (non-physical state or numerical fault), the first one walked."""
     names = _party_order(joints)
     subsets = _canonical_subsets(names)
     if set(joints) != set(subsets):
         raise ValidationError("joints map incomplete for audit")
 
-    mono: list[tuple[Subset, Subset]] = []
-    for u in subsets:
-        su = set(u)
-        for v in subsets:
-            if su < set(v) and joints[u] > joints[v] + INEQ_SLACK:
-                mono.append((u, v))
-
-    def key(group: set[str]) -> Subset:
-        return tuple(n for n in names if n in group)
-
-    sub_slack: float | None = None
-    tri_slack: float | None = None
-    disjoint_pairs = [
-        (a, b)
-        for i, a in enumerate(subsets)
-        for b in subsets[i + 1:]
-        if not set(a) & set(b)
+    groups = [(u, frozenset(u)) for u in subsets]
+    mono = [
+        (u, v) for u, fu in groups for v, fv in groups
+        if fu < fv and joints[u] > joints[v] + INEQ_SLACK
     ]
-    for a, b in disjoint_pairs:
-        s_a, s_b = joints[a], joints[b]
-        s_ab = joints[key(set(a) | set(b))]
-        sub = s_a + s_b - s_ab
-        tri = s_ab - abs(s_a - s_b)
-        sub_slack = sub if sub_slack is None else min(sub_slack, sub)
-        tri_slack = tri if tri_slack is None else min(tri_slack, tri)
-        if sub < -INEQ_SLACK:
-            raise NumericalFaultError(
-                f"subadditivity violated by {-sub:.3e} on {a} vs {b}: "
-                "non-physical state or numerical fault"
-            )
-        if tri < -INEQ_SLACK:
-            raise NumericalFaultError(
-                f"triangle inequality violated by {-tri:.3e} on {a} vs {b}: "
-                "non-physical state or numerical fault"
-            )
 
-    ssa_slack: float | None = None
-    for b in subsets:
-        sb = set(b)
-        rest = [s for s in subsets if not set(s) & sb]
-        for i, a in enumerate(rest):
-            for c in rest[i + 1:]:
-                if set(a) & set(c):
+    s = {fu: joints[u] for u, fu in groups}
+    s[frozenset()] = 0.0
+    worst = dict.fromkeys(("subadditivity", "triangle inequality", "strong subadditivity"))
+    for b, fb in [((), frozenset())] + groups:
+        rest = [(u, fu) for u, fu in groups if not fu & fb]
+        for i, (a, fa) in enumerate(rest):
+            for c, fc in rest[i + 1:]:
+                if fa & fc:
                     continue
-                s_ab = joints[key(set(a) | sb)]
-                s_bc = joints[key(sb | set(c))]
-                s_abc = joints[key(set(a) | sb | set(c))]
-                slack = s_ab + s_bc - s_abc - joints[b]
-                ssa_slack = slack if ssa_slack is None else min(ssa_slack, slack)
-                if slack < -INEQ_SLACK:
-                    raise NumericalFaultError(
-                        f"strong subadditivity violated by {-slack:.3e} "
-                        f"(A={a}, B={b}, C={c}): non-physical state or numerical fault"
-                    )
+                slack = s[fa | fb] + s[fb | fc] - s[fa | fb | fc] - s[fb]
+                if b:
+                    checks = (("strong subadditivity", slack),)
+                else:
+                    tri = s[fa | fc] - abs(s[fa] - s[fc])
+                    checks = (("subadditivity", slack), ("triangle inequality", tri))
+                for what, value in checks:
+                    worst[what] = value if worst[what] is None else min(worst[what], value)
+                    if value < -INEQ_SLACK:
+                        where = f"(A={a}, B={b}, C={c})" if b else f"on {a} vs {c}"
+                        raise NumericalFaultError(
+                            f"{what} violated by {-value:.3e} {where}: "
+                            "non-physical state or numerical fault"
+                        )
 
     return InequalityAudit(
         monotonicity_violated=tuple(mono),
         subadditivity_ok=True,
-        subadditivity_worst_slack=sub_slack,
+        subadditivity_worst_slack=worst["subadditivity"],
         triangle_ok=True,
-        triangle_worst_slack=tri_slack,
+        triangle_worst_slack=worst["triangle inequality"],
         strong_subadditivity_ok=True,
-        strong_subadditivity_worst_slack=ssa_slack,
+        strong_subadditivity_worst_slack=worst["strong subadditivity"],
     )
 
 
@@ -374,7 +348,7 @@ class DiagramBundle:
     @classmethod
     def of(cls, state, partition: PartitionSpec) -> "DiagramBundle":
         """Joints, atoms and audit of `state`, pure or density, under
-        `partition`; factors the partition leaves out are traced out first."""
+        `partition`; factors the partition leaves out are traced out."""
         joints = grouped_entropies(state, partition)
         return cls(
             party_factors=tuple((n, tuple(sorted(fs))) for n, fs in partition.parties),

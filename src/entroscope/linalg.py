@@ -12,6 +12,7 @@ are marked read-only so they can be shared freely.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,15 @@ NORM_TOL = 1e-12
 PSD_CLAMP = -1e-10
 
 
+def _index(value, what: str = "factor") -> int:
+    try:
+        return operator.index(value)  # numpy integers pass; a float is refused, not truncated
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _as_dims(dims) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
+    out = tuple(_index(d, "factor dim") for d in dims)
     if not out:
         raise ValidationError("at least one tensor factor is required")
     if any(d < 2 for d in out):
@@ -135,7 +143,7 @@ class DensityOperator:
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     """Trace out all factors not in `keep`; kept factors stay in original order."""
-    kept = sorted({int(k) for k in keep})
+    kept = sorted({_index(k, "keep index") for k in keep})
     if not kept:
         raise ValidationError("must keep at least one factor")
     n = rho.num_factors

@@ -1,8 +1,9 @@
 """Measurement as unitary entanglement with ancilla pointers.
 
-Nothing here collapses: premeasure appends one |0> ancilla per tapped
-qubit and entangles it with the system in the tap's basis, so the joint
-state stays pure.  Statistics come from reading the ancilla factors.
+Nothing here collapses: premeasure adds one pointer qubit per tapped
+qubit, holding P_b psi at pointer value b for the projectors P_b of the
+tap's basis, so the joint state stays pure.  Statistics come from
+reading the pointer factors.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .entropy import PartitionSpec, grouped_entropies
-from .linalg import PureState
+from .linalg import PureState, _index
 from .states import axis_angle, basis_rotation, epr_singlet
 
 CLASSICAL_BOUND = 2.0
@@ -34,7 +35,7 @@ class MeasurementSetup:
     taps: tuple[tuple[int, float, str], ...]
 
     def __post_init__(self):
-        taps = tuple((int(f), axis_angle(a), str(lbl)) for f, a, lbl in self.taps)
+        taps = tuple((_index(f), axis_angle(a), str(lbl)) for f, a, lbl in self.taps)
         if not taps:
             raise ValidationError("a measurement setup needs at least one tap")
         factors = [f for f, _, _ in taps]
@@ -85,27 +86,15 @@ class OutcomeRecords:
         return total
 
 
-def _apply_single(t: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(m, t, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
-
-
-def _apply_cnot(t: np.ndarray, control: int, target: int) -> np.ndarray:
-    out = t.copy()
-    sel: list = [slice(None)] * t.ndim
-    sel[control] = 1
-    tgt = target - 1 if target > control else target
-    out[tuple(sel)] = np.flip(t[tuple(sel)], axis=tgt)
-    return out
-
-
 def premeasure(state: PureState, setup: MeasurementSetup) -> PureState:
-    """Append one |0> ancilla per tap and copy each tap's basis bit onto it.
+    """Entangle one new pointer qubit per tap with the tapped qubit.
 
-    Per tap at angle theta the circuit is (R^dag on the qubit) o CNOT o
-    (R on the qubit) with the ancilla as CNOT target, taking |b_theta>|0>
-    to |b_theta>|b>.  Ancillas land after the existing factors, in tap
-    order.  The output is still a pure state.
+    A tap at angle theta takes psi to sum_b (P_b psi) |b>, with P_b the
+    projector onto the b-th eigenvector of spin_observable(theta):
+    P_b = outer(R[b]^*, R[b]) for R = basis_rotation(theta).  That is the
+    unitary copy |b_theta>|0> -> |b_theta>|b>, applied without building
+    the |0> pointers or a CNOT.  Pointers land after the existing
+    factors, in tap order.  The output is still a pure state.
     """
     n = state.num_factors
     for factor, _, label in setup.taps:
@@ -113,18 +102,14 @@ def premeasure(state: PureState, setup: MeasurementSetup) -> PureState:
             raise ValidationError(f"tap {label!r} targets factor {factor}, state has {n}")
         if state.dims[factor] != 2:
             raise ValidationError(f"tap {label!r} targets a dim-{state.dims[factor]} factor; taps need qubits")
-    k = len(setup.taps)
-    dims = state.dims + (2,) * k
-    padding = np.zeros(2**k, dtype=complex)
-    padding[0] = 1.0
-    t = np.outer(state.amplitudes, padding).reshape(dims)
-    for i, (factor, angle, _) in enumerate(setup.taps):
-        ancilla = n + i
+    t = state.amplitudes.reshape(state.dims)
+    for factor, angle, _ in setup.taps:
         rot = basis_rotation(angle)
-        t = _apply_single(t, rot, factor)
-        t = _apply_cnot(t, factor, ancilla)
-        t = _apply_single(t, rot.conj().T, factor)
-    return PureState(t.reshape(-1), dims)
+        # P_b psi = |e_b> <e_b|psi> with <e_b| = rot[b]: amp[b] is <e_b|psi>
+        # on the tapped axis, and the b-th pointer slice is rot[b]^* x amp[b]
+        amp = np.tensordot(rot, t, axes=([1], [factor]))
+        t = np.moveaxis(np.einsum("bi,b...->ib...", rot.conj(), amp), (0, 1), (factor, -1))
+    return PureState(t.reshape(-1), state.dims + (2,) * len(setup.taps))
 
 
 def device_factors(post: PureState, setup: MeasurementSetup) -> dict[str, int]:

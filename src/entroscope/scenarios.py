@@ -212,24 +212,13 @@ def run_cat(with_observer: bool = False, grouping: str = "atom_gamma") -> Diagra
     state = cat_chain(with_observer)
     atomic = frozenset({0, 1}) if grouping == "atom_gamma" else frozenset({0})
     cat_side = frozenset({2}) if grouping == "atom_gamma" else frozenset({1, 2})
-
+    detectors = (("cat", cat_side),)
     if with_observer:
-        partition = PartitionSpec(
-            (("atomic", atomic), ("cat", cat_side), ("observer", frozenset({3})))
-        )
-    else:
-        partition = PartitionSpec((("atomic", atomic), ("cat", cat_side)))
+        detectors += (("observer", frozenset({3})),)
 
-    bundle = DiagramBundle.of(state, partition)
-    joints = bundle.venn.joints
-
-    reduced = None
-    if with_observer:
-        q_dev = mutual_entropy(joints, "atomic", ("cat", "observer"))
-        pair_part = PartitionSpec((("cat", cat_side), ("observer", frozenset({3}))))
-        reduced = DiagramBundle.of(state, pair_part)
-    else:
-        q_dev = mutual_entropy(joints, "atomic", "cat")
+    bundle = DiagramBundle.of(state, PartitionSpec((("atomic", atomic),) + detectors))
+    q_dev = mutual_entropy(bundle.venn.joints, "atomic", [n for n, _ in detectors])
+    reduced = DiagramBundle.of(state, PartitionSpec(detectors)) if with_observer else None
 
     return DiagramReport(
         scenario="cat",

@@ -11,9 +11,13 @@ sums; venn_atoms_2 and venn_atoms_3 write the same sums out by hand, so
 they pin the formula, not the route), the characteristic polynomial
 from Faddeev-LeVerrier trace recursion (no eigensolver at all), sampled
 records from a per-shot loop over the same seeded draws (the package
-fills one outcome array), and singlet correlators from the dense 4x4
+fills one outcome array), singlet correlators from the dense 4x4
 operator np.kron builds (the package contracts 2x2 observables in one
-einsum).  Agreement between the two routes is the point of the tests.
+einsum), pre-measurement from the padded-ancilla R / CNOT / R^dag
+circuit as np.kron matrices (the package stacks one projected copy of
+the state per pointer value), and the audit's worst slacks from every
+(A, B, C) triple of bitmasks (the package walks unordered (A, C) pairs
+per B).  Agreement between the two routes is the point of the tests.
 Purity and the schema-checking document parser are test-only tools.
 """
 
@@ -183,6 +187,75 @@ def resum_joints(atoms: dict) -> dict:
     subsets = list(atoms)
     sums = incidence_matrix(subsets) @ [atoms[t] for t in subsets]
     return {u: float(x) for u, x in zip(subsets, sums)}
+
+
+def premeasure_kron(state, setup) -> np.ndarray:
+    """premeasure's amplitudes from the circuit it replaced: append one |0>
+    ancilla per tap, then per tap apply (R^dag x I) CNOT (R x I), with the
+    tapped qubit as control and its ancilla as target, each a full-size
+    matrix built factor by factor with np.kron."""
+    from entroscope.states import basis_rotation
+
+    n = state.num_factors
+    dims = state.dims + (2,) * len(setup.taps)
+    pad = np.zeros(2 ** len(setup.taps))
+    pad[0] = 1.0
+    psi = np.kron(state.amplitudes, pad)
+
+    def on(ops: dict) -> np.ndarray:
+        out = np.eye(1)
+        for f, d in enumerate(dims):
+            out = np.kron(out, ops.get(f, np.eye(d)))
+        return out
+
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for i, (f, angle, _) in enumerate(setup.taps):
+        r = basis_rotation(angle)
+        cnot = on({f: np.diag([1.0, 0.0])}) + on({f: np.diag([0.0, 1.0]), n + i: flip})
+        psi = on({f: r.conj().T}) @ (cnot @ (on({f: r}) @ psi))
+    return psi
+
+
+def audit_oracle(joints: dict) -> tuple:
+    """(monotonicity violations, worst subadditivity, triangle and SSA
+    slacks) by brute force over party bitmasks.
+
+    Every ordered triple (A, B, C) of disjoint masks with A and C nonempty
+    gives S(AB) + S(BC) - S(ABC) - S(B), with S of no party 0: B empty is
+    subadditivity (and the triangle slack S(AC) - |S(A) - S(C)|), B
+    nonempty strong subadditivity.  A worst slack is None when no triple
+    exists."""
+    names = [k[0] for k in joints if len(k) == 1]
+    n = len(names)
+
+    def members(mask):
+        return [i for i in range(n) if mask >> i & 1]
+
+    def key(mask):
+        return tuple(names[i] for i in members(mask))
+
+    s = {0: 0.0, **{m: joints[key(m)] for m in range(1, 1 << n)}}
+    # subsets by size, then in party order, as the audit lists them
+    order = sorted(range(1, 1 << n), key=lambda m: (len(members(m)), members(m)))
+    mono = [
+        (key(u), key(v)) for u in order for v in order
+        if u != v and u & v == u and s[u] > s[v] + 1e-9  # the audit's INEQ_SLACK
+    ]
+    sub, tri, ssa = [], [], []
+    for a in range(1, 1 << n):
+        for c in range(1, 1 << n):
+            if a & c:
+                continue
+            for b in range(1 << n):
+                if b & (a | c):
+                    continue
+                slack = s[a | b] + s[b | c] - s[a | b | c] - s[b]
+                if b:
+                    ssa.append(slack)
+                else:
+                    sub.append(slack)
+                    tri.append(s[a | c] - abs(s[a] - s[c]))
+    return mono, min(sub, default=None), min(tri, default=None), min(ssa, default=None)
 
 
 def purity(rho) -> float:

@@ -137,13 +137,25 @@ def test_joint_entropies_match_independent_route():
         assert val == pytest.approx(helpers.entropy_oracle(red), abs=1e-9)
 
 
-def test_grouped_entropies_traces_uncovered_factors():
-    rho = random_density((2, 2, 2, 2), seed=4)
-    grouped = grouped_entropies(rho, PartitionSpec.of(X=[0, 1], Y=[3]))
-    red = partial_trace(rho, (0, 1, 3))  # factor 3 becomes index 2
-    direct = joint_entropies(red, PartitionSpec.of(X=[0, 1], Y=[2]))
-    for subset in direct:
-        assert grouped[subset] == pytest.approx(direct[subset], abs=1e-12)
+@pytest.mark.parametrize("density", [False, True], ids=["pure", "density"])
+def test_grouped_entropies_traces_uncovered_factors(density):
+    psi = random_pure((2, 2, 2, 2), seed=4)
+    state = psi.to_density() if density else psi
+    # factor 2, between the parties, belongs to neither
+    grouped = grouped_entropies(state, PartitionSpec.of(X=[0, 1], Y=[3]))
+    rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    keep = {("X",): [0, 1], ("Y",): [3], ("X", "Y"): [0, 1, 3]}
+    assert list(grouped) == list(keep)
+    for subset, factors in keep.items():
+        red = helpers.brute_partial_trace(rho, (2, 2, 2, 2), factors)
+        assert grouped[subset] == pytest.approx(helpers.entropy_oracle(red), abs=1e-12)
+
+
+def test_party_factors_must_be_integers():
+    with pytest.raises(ValidationError, match="factor must be an integer, got 0.7"):
+        PartitionSpec.of(A=[0.7], B=[1])
+    part = PartitionSpec.of(A=[np.int64(0)], B=[np.uint8(1)])
+    assert part.parties == (("A", frozenset({0})), ("B", frozenset({1})))
 
 
 def test_conditional_and_mutual_epr():
@@ -245,7 +257,10 @@ def test_atom_residual_guard_raises(monkeypatch):
         venn_atoms(joints)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, "1", None, 1 + 0j],
+    ids=["nan", "+inf", "-inf", "str", "None", "complex"],
+)
 @pytest.mark.parametrize("check", [
     venn_atoms,
     audit_inequalities,
@@ -357,17 +372,56 @@ def test_audit_ssa_on_random_states():
 
 
 def test_audit_raises_on_fabricated_violations():
-    with pytest.raises(NumericalFaultError, match="subadditivity"):
+    with pytest.raises(NumericalFaultError, match="^subadditivity violated"):
         audit_inequalities({("A",): 1.0, ("B",): 1.0, ("A", "B"): 2.5})
-    with pytest.raises(NumericalFaultError, match="triangle"):
+    with pytest.raises(NumericalFaultError, match="^triangle inequality violated"):
         audit_inequalities({("A",): 1.0, ("B",): 0.2, ("A", "B"): 0.2})
     bad_ssa = {
         ("A",): 2.0, ("B",): 2.0, ("C",): 2.0,
         ("A", "B"): 2.0, ("A", "C"): 4.0, ("B", "C"): 2.0,
         ("A", "B", "C"): 3.0,
     }
-    with pytest.raises(NumericalFaultError, match="strong subadditivity"):
+    with pytest.raises(NumericalFaultError, match="^strong subadditivity violated"):
         audit_inequalities(bad_ssa)
+
+
+def test_audit_reports_subadditivity_before_ssa():
+    # S(A) + S(C) - S(AC) = -1 and S(AB) + S(BC) - S(ABC) - S(B) = -1: the
+    # B = {} pass comes first, so the subadditivity violation is the one raised
+    both = {
+        ("A",): 2.0, ("B",): 2.0, ("C",): 2.0,
+        ("A", "B"): 2.0, ("A", "C"): 5.0, ("B", "C"): 2.0,
+        ("A", "B", "C"): 3.0,
+    }
+    with pytest.raises(
+        NumericalFaultError,
+        match=r"^subadditivity violated by 1\.000e\+00 on \('A',\) vs \('C',\): ",
+    ):
+        audit_inequalities(both)
+    without_sub = {**both, ("A", "C"): 4.0}
+    with pytest.raises(
+        NumericalFaultError,
+        match=r"^strong subadditivity violated by 1\.000e\+00 \(A=\('A',\), B=\('B',\), C=\('C',\)\)",
+    ):
+        audit_inequalities(without_sub)
+
+
+@pytest.mark.parametrize("parties", [1, 2, 3, 4, 5])
+def test_audit_matches_bitmask_oracle(parties):
+    names = "ABCDE"[:parties]
+    part = PartitionSpec.of(**{name: [i] for i, name in enumerate(names)})
+    dims = (2,) * parties
+    for seed in range(4):
+        for state in (random_density(dims, seed=seed), random_pure(dims, seed=seed)):
+            joints = joint_entropies(state, part)
+            audit = audit_inequalities(joints)
+            got = (
+                list(audit.monotonicity_violated),
+                audit.subadditivity_worst_slack,
+                audit.triangle_worst_slack,
+                audit.strong_subadditivity_worst_slack,
+            )
+            assert got == helpers.audit_oracle(joints)
 
 
 def test_entropy_basis_invariance():

@@ -11,6 +11,14 @@ writes only the fixtures that are missing, so adding a case never
 re-pins the bytes of an existing one.  To regenerate a fixture on
 purpose, for a change whose every differing byte is explained, delete
 its file first.
+
+    PYTHONPATH=src python tests/test_golden.py --floats OUT.json
+
+runs every case with report.q9 hooked and writes, per case, the
+unrounded floats the document was built from, in the order q9 saw them.
+Two source trees' files can then be diffed value by value, to see how
+far a change moved the numbers and how close each came to flipping a
+printed 9th digit.
 """
 
 import json
@@ -41,7 +49,7 @@ PARTITIONS = {
 }
 
 # Further diagram partitions on the 4-qubit files: two parties, and a
-# partial partition whose uncovered factors are traced out first.
+# partial partition whose uncovered factors are traced out.
 EXTRA_DIAGRAMS = {"2party": "A=0,1;B=2,3", "partial": "X=1;Y=3"}
 
 
@@ -170,7 +178,34 @@ def _write() -> None:
         path.write_text(out)
 
 
+def _floats(out: str) -> None:
+    from entroscope import report
+
+    out_path = Path(out).resolve()
+    q9, seen = report.q9, []
+
+    def hook(x):
+        seen.append(float(x))
+        return q9(x)
+
+    report.q9 = hook
+    os.environ.pop("ENTROSCOPE_SEED", None)
+    os.chdir(GOLDEN)
+    floats = {}
+    for name, argv in sorted(CASES.items()):
+        seen.clear()
+        code, _, err = _run(argv)
+        if code != 0:
+            raise SystemExit(f"{name}: exit {code}: {err}")
+        floats[name] = list(seen)
+    out_path.write_text(json.dumps(floats, indent=1) + "\n")
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
+    args = sys.argv[1:]
+    if args == ["--write"]:
+        _write()
+    elif len(args) == 2 and args[0] == "--floats":
+        _floats(args[1])
+    else:
         raise SystemExit(__doc__)
-    _write()

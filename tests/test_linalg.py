@@ -65,6 +65,15 @@ def test_pure_state_shape_must_match():
         PureState(np.array([1.0, 0.0, 0.0]), (2,))
 
 
+def test_factor_dims_must_be_integers():
+    amps = np.full(4, 0.5)
+    with pytest.raises(ValidationError, match="factor dim must be an integer, got 2.9"):
+        PureState(amps, (2.9, 2))
+    with pytest.raises(ValidationError, match="factor dim must be an integer"):
+        DensityOperator(np.eye(4) / 4.0, (2.0, 2))
+    assert PureState(amps, (np.int64(2), np.uint8(2))).dims == (2, 2)
+
+
 def test_pure_state_is_immutable():
     psi = epr_singlet()
     with pytest.raises(ValueError):
@@ -130,6 +139,13 @@ def test_partial_trace_composes_and_preserves_trace():
     one_step = partial_trace(rho, (0, 1))
     assert np.max(np.abs(two_step.matrix - one_step.matrix)) < 1e-12
     assert abs(np.trace(one_step.matrix) - 1.0) < 1e-12
+
+
+def test_partial_trace_keep_must_be_integers():
+    rho = epr_singlet().to_density()
+    with pytest.raises(ValidationError, match="keep index must be an integer, got 0.5"):
+        partial_trace(rho, [0.5])
+    assert partial_trace(rho, [np.intp(1)]).dims == (2,)
 
 
 def test_partial_trace_rejects_empty_keep():

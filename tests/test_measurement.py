@@ -51,12 +51,37 @@ def test_setup_validation():
         MeasurementSetup.of((0, 0.0, "A1"), (1, 0.5, "A1"))
 
 
+def test_tap_factors_must_be_integers():
+    with pytest.raises(ValidationError, match="factor must be an integer, got 0.9"):
+        MeasurementSetup.of((0.9, 0.0, "A"))
+    assert MeasurementSetup.of((np.int32(1), 0.0, "A")).taps == ((1, 0.0, "A"),)
+
+
 def test_premeasure_rejects_bad_taps():
     with pytest.raises(ValidationError, match="targets factor"):
         premeasure(epr_singlet(), MeasurementSetup.of((2, 0.0, "A1")))
     qutrit = PureState(np.array([1.0, 0.0, 0.0]), (3,))
     with pytest.raises(ValidationError, match="qubits"):
         premeasure(qutrit, MeasurementSetup.of((0, 0.0, "A1")))
+
+
+@pytest.mark.parametrize("dims, factors", [
+    ((2, 3, 2), (0,)),
+    ((2, 3, 2), (2, 0)),
+    ((2, 2, 3, 2), (3, 0, 1)),
+], ids=["one-tap", "two-taps-apart", "three-taps"])
+def test_premeasure_matches_kron_circuit(dims, factors):
+    rng = np.random.default_rng(len(dims) * 10 + len(factors))
+    for seed in range(3):
+        state = random_pure(dims, seed=700 + seed)
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=len(factors))
+        setup = MeasurementSetup.of(
+            *((f, a, f"P{i}") for i, (f, a) in enumerate(zip(factors, angles)))
+        )
+        post = premeasure(state, setup)
+        assert post.dims == dims + (2,) * len(factors)
+        want = helpers.premeasure_kron(state, setup)
+        np.testing.assert_allclose(post.amplitudes, want, rtol=0.0, atol=1e-12)
 
 
 def test_premeasure_parallel_amplitudes():
