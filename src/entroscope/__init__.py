@@ -19,10 +19,9 @@ _MODULE_OF = {
         "partial_trace",
     ), "linalg"),
     **dict.fromkeys((
-        "InequalityAudit", "PartitionSpec", "VennDiagram", "audit_inequalities",
-        "clamp_spectrum", "conditional_entropy", "grouped_entropies", "joint_entropies",
-        "mutual_entropy", "resum_joints", "shannon_entropy", "ternary_center", "venn_atoms",
-        "von_neumann_entropy",
+        "InequalityAudit", "PartitionSpec", "audit_inequalities", "clamp_spectrum",
+        "conditional_entropy", "grouped_entropies", "joint_entropies", "mutual_entropy",
+        "resum_joints", "shannon_entropy", "ternary_center", "venn_atoms", "von_neumann_entropy",
     ), "entropy"),
     **dict.fromkeys((
         "axis_angle", "basis_rotation", "cat_chain", "epr_singlet", "ghz",

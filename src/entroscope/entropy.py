@@ -210,21 +210,12 @@ def mutual_entropy(joints: dict[Subset, float], a, b) -> float:
     return _require(joints, sa) + _require(joints, sb) - _require(joints, union)
 
 
-@dataclass(frozen=True)
-class VennDiagram:
-    """Parties, their joint entropies, and the Venn atoms solving them."""
-
-    parties: tuple[str, ...]
-    joints: dict[Subset, float]
-    atoms: dict[Subset, float]
-
-
 def resum_joints(atoms: dict[Subset, float]) -> dict[Subset, float]:
     """The forward Mobius map: joints[U] = sum of atoms[T] over T meeting U."""
     return {u: sum(v for t, v in atoms.items() if set(t) & set(u)) for u in atoms}
 
 
-def venn_atoms(joints: dict[Subset, float]) -> VennDiagram:
+def venn_atoms(joints: dict[Subset, float]) -> dict[Subset, float]:
     """Mobius inversion in closed form (Yeung's I-measure): the atom of
     region T is a(T) = -sum over W in T of (-1)^(|T|-|W|) S(N - W), with
     S of no party 0; for two parties a(A) = S(AB) - S(B).  Atoms may be
@@ -247,18 +238,17 @@ def venn_atoms(joints: dict[Subset, float]) -> VennDiagram:
     residual = max(abs(sj - joints[u]) for u, sj in resum_joints(atoms).items())
     if residual > ATOM_RESIDUAL_TOL:
         raise NumericalFaultError(f"atom system residual {residual:.3e} exceeds tolerance")
-    return VennDiagram(parties=names, joints=dict(joints), atoms=atoms)
+    return atoms
 
 
-def ternary_center(diagram: VennDiagram) -> float:
-    """The central atom S(A:B:C) of a three-party diagram.
+def ternary_center(atoms: dict[Subset, float]) -> float:
+    """The central atom S(A:B:C) of a three-party atoms map.
 
     Equals S(A)+S(B)+S(C) - S(AB)-S(AC)-S(BC) + S(ABC)."""
-    if len(diagram.parties) != 3:
-        raise ValidationError(
-            f"ternary center requires exactly 3 parties, got {len(diagram.parties)}"
-        )
-    return diagram.atoms[diagram.parties]
+    parties = tuple(k[0] for k in atoms if len(k) == 1)
+    if len(parties) != 3:
+        raise ValidationError(f"ternary center requires exactly 3 parties, got {len(parties)}")
+    return atoms[parties]
 
 
 @dataclass(frozen=True)
@@ -267,16 +257,12 @@ class InequalityAudit:
 
     Monotonicity can fail for quantum states and is reported, not raised.
     Subadditivity, triangle, and strong subadditivity hold for every
-    quantum state, so a violation raises instead of returning, and the
-    three `*_ok` fields are always True.  Reports of schema 1.0.0 carry
-    every field, as keys in this order."""
+    quantum state: a violation raises, so only their worst slacks remain,
+    each None when no case was checked."""
 
     monotonicity_violated: tuple[tuple[Subset, Subset], ...]
-    subadditivity_ok: bool
     subadditivity_worst_slack: float | None
-    triangle_ok: bool
     triangle_worst_slack: float | None
-    strong_subadditivity_ok: bool
     strong_subadditivity_worst_slack: float | None
 
 
@@ -328,21 +314,19 @@ def audit_inequalities(joints: dict[Subset, float]) -> InequalityAudit:
 
     return InequalityAudit(
         monotonicity_violated=tuple(mono),
-        subadditivity_ok=True,
         subadditivity_worst_slack=worst["subadditivity"],
-        triangle_ok=True,
         triangle_worst_slack=worst["triangle inequality"],
-        strong_subadditivity_ok=True,
         strong_subadditivity_worst_slack=worst["strong subadditivity"],
     )
 
 
 @dataclass(frozen=True)
 class DiagramBundle:
-    """One labeled diagram: party factor map, Venn data, inequality audit."""
+    """One labeled diagram: party factors, joints, Venn atoms, audit."""
 
-    party_factors: tuple[tuple[str, tuple[int, ...]], ...]
-    venn: VennDiagram
+    factors: dict[str, tuple[int, ...]]
+    joints: dict[Subset, float]
+    atoms: dict[Subset, float]
     audit: InequalityAudit
 
     @classmethod
@@ -351,12 +335,13 @@ class DiagramBundle:
         `partition`; factors the partition leaves out are traced out."""
         joints = grouped_entropies(state, partition)
         return cls(
-            party_factors=tuple((n, tuple(sorted(fs))) for n, fs in partition.parties),
-            venn=venn_atoms(joints),
+            factors={n: tuple(sorted(fs)) for n, fs in partition.parties},
+            joints=joints,
+            atoms=venn_atoms(joints),
             audit=audit_inequalities(joints),
         )
 
     @property
     def center(self) -> float | None:
         """The ternary center S(A:B:C) of a three-party diagram, else None."""
-        return ternary_center(self.venn) if len(self.venn.parties) == 3 else None
+        return ternary_center(self.atoms) if len(self.factors) == 3 else None

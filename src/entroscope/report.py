@@ -108,19 +108,20 @@ def _canonical(value):
 def _diagram_block(bundle: DiagramBundle | None) -> dict | None:
     if bundle is None:
         return None
-    audit = bundle.audit
+    audit = {"monotonicity_violated": [
+        {"subset": ",".join(a), "superset": ",".join(b)}
+        for a, b in bundle.audit.monotonicity_violated
+    ]}
+    for name in ("subadditivity", "triangle", "strong_subadditivity"):
+        # schema 1.0.0 keys; always true, as a violation raises before this
+        audit[f"{name}_ok"] = True
+        audit[f"{name}_worst_slack"] = getattr(bundle.audit, f"{name}_worst_slack")
     return {
-        "parties": bundle.venn.parties,
-        "factors": dict(bundle.party_factors),
-        "joints": bundle.venn.joints,
-        "atoms": bundle.venn.atoms,
-        "audit": {
-            **vars(audit),
-            "monotonicity_violated": [
-                {"subset": ",".join(a), "superset": ",".join(b)}
-                for a, b in audit.monotonicity_violated
-            ],
-        },
+        "parties": tuple(bundle.factors),
+        "factors": bundle.factors,
+        "joints": bundle.joints,
+        "atoms": bundle.atoms,
+        "audit": audit,
     }
 
 
@@ -358,10 +359,7 @@ def _sampled_lines(block: dict) -> list[str]:
     lines.append(f"counts: {counts}")
     for key, value in block["entropies"].items():
         lines.append(f"H({key}) = {value:.9f}")
-    if "mutual" in block:
-        lines.append(
-            f"empirical mutual = {block['mutual']:.9f} (exact {block['exact_mutual']:.9f})"
-        )
+    lines.append(f"empirical mutual = {block['mutual']:.9f} (exact {block['exact_mutual']:.9f})")
     return lines
 
 

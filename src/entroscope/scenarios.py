@@ -126,18 +126,19 @@ def orthodox_reference(case: str) -> dict:
 
 
 def _sampled_block(post, setup, shots: int, seed: int, exact_mutual: float) -> dict:
+    """Sampled statistics of run_epr_measure's two devices."""
     records = sample_records(post, setup, shots=shots, seed=seed)
     labels = setup.device_labels
-    width = len(labels)
-    counts = {format(i, f"0{width}b"): int(n) for i, n in enumerate(records.counts())}
+    counts = {format(i, "02b"): int(n) for i, n in enumerate(records.counts())}
     freqs = {k: v / shots for k, v in counts.items()}
     joint_p = np.array(list(freqs.values()))
     entropies: dict[str, float] = {}
     for i, lbl in enumerate(labels):
         p1 = sum(v for k, v in freqs.items() if k[i] == "1")
         entropies[lbl] = shannon_entropy([1.0 - p1, p1])
-    entropies[",".join(labels)] = shannon_entropy(joint_p)
-    block = {
+    both = ",".join(labels)
+    entropies[both] = shannon_entropy(joint_p)
+    return {
         "shots": shots,
         "seed": seed,
         "chunk_size": None,  # schema 1.0.0 keeps the key; records are not chunked
@@ -145,13 +146,9 @@ def _sampled_block(post, setup, shots: int, seed: int, exact_mutual: float) -> d
         "counts": counts,
         "frequencies": freqs,
         "entropies": entropies,
+        "mutual": entropies[labels[0]] + entropies[labels[1]] - entropies[both],
+        "exact_mutual": exact_mutual,
     }
-    if width == 2:
-        block["mutual"] = (
-            entropies[labels[0]] + entropies[labels[1]] - entropies[",".join(labels)]
-        )
-        block["exact_mutual"] = exact_mutual
-    return block
 
 
 def run_epr_measure(theta1, theta2, shots: int = 0, seed: int | None = None) -> DiagramReport:
@@ -171,10 +168,10 @@ def run_epr_measure(theta1, theta2, shots: int = 0, seed: int | None = None) -> 
     post = premeasure(epr_singlet(), setup)
 
     full_bundle = DiagramBundle.of(post, full_partition(post, setup))
-    q_dev = mutual_entropy(full_bundle.venn.joints, "Q", ("A1", "A2"))
+    q_dev = mutual_entropy(full_bundle.joints, "Q", ("A1", "A2"))
 
     dev_bundle = DiagramBundle.of(post, device_partition(post, setup))
-    exact_mutual = mutual_entropy(dev_bundle.venn.joints, "A1", "A2")
+    exact_mutual = mutual_entropy(dev_bundle.joints, "A1", "A2")
 
     sampled = None
     used_seed = seed
@@ -217,7 +214,7 @@ def run_cat(with_observer: bool = False, grouping: str = "atom_gamma") -> Diagra
         detectors += (("observer", frozenset({3})),)
 
     bundle = DiagramBundle.of(state, PartitionSpec((("atomic", atomic),) + detectors))
-    q_dev = mutual_entropy(bundle.venn.joints, "atomic", [n for n, _ in detectors])
+    q_dev = mutual_entropy(bundle.joints, "atomic", [n for n, _ in detectors])
     reduced = DiagramBundle.of(state, PartitionSpec(detectors)) if with_observer else None
 
     return DiagramReport(

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import DensityOperator, PureState
+from .linalg import DensityOperator, PureState, _as_dims, _index
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -58,7 +58,7 @@ def epr_singlet() -> PureState:
 
 def ghz(n: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2) over n >= 3 qubits."""
-    n = int(n)
+    n = _index(n, "qubit count")
     if n < 3:
         raise ValidationError(f"ghz needs at least 3 qubits, got {n}")
     amps = np.zeros(2**n, dtype=complex)
@@ -81,7 +81,7 @@ def random_density(dim_per_factor, seed) -> DensityOperator:
     """rho = G G^dag / Tr(G G^dag) with seeded iid complex Gaussians.
 
     Full rank with probability 1; deterministic for a given seed."""
-    dims = tuple(int(d) for d in dim_per_factor)
+    dims = _as_dims(dim_per_factor)
     d = math.prod(dims)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -92,7 +92,7 @@ def random_density(dim_per_factor, seed) -> DensityOperator:
 
 def random_pure(dim_per_factor, seed) -> PureState:
     """Normalized vector of seeded iid complex Gaussians."""
-    dims = tuple(int(d) for d in dim_per_factor)
+    dims = _as_dims(dim_per_factor)
     d = math.prod(dims)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)

@@ -25,6 +25,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from itertools import product
 
 import numpy as np
@@ -256,6 +257,19 @@ def audit_oracle(joints: dict) -> tuple:
                     sub.append(slack)
                     tri.append(s[a | c] - abs(s[a] - s[c]))
     return mono, min(sub, default=None), min(tri, default=None), min(ssa, default=None)
+
+
+def rounding_margin(x: float, digits: int = 9) -> float:
+    """Distance from x to the nearest point where rounding to `digits`
+    fractional digits changes: the midpoints (k + 1/2) 10^-digits.
+
+    Computed on the exact decimal value of the float, so a value that
+    moves by less than this prints the same rounded digits."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        scaled = Decimal(x).scaleb(digits)
+        frac = scaled - scaled.to_integral_value(ROUND_FLOOR)
+        return float(abs(frac - Decimal("0.5")).scaleb(-digits))
 
 
 def purity(rho) -> float:

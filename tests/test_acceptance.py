@@ -63,7 +63,7 @@ def measurement_grid():
 
 def test_c01_epr_pair_diagram():
     rep = run_epr_pair()
-    joints = rep.diagram.venn.joints
+    joints = rep.diagram.joints
     assert joints[("L",)] == pytest.approx(1.0, abs=1e-9)
     assert joints[("R",)] == pytest.approx(1.0, abs=1e-9)
     assert joints[("L", "R")] == pytest.approx(0.0, abs=1e-9)
@@ -88,7 +88,7 @@ def test_c02_monotonicity_quantum_only():
 
 def test_c03_parallel_measurement():
     rep = run_epr_measure(0.0, 0.0)
-    atoms = rep.reduced.venn.atoms
+    atoms = rep.reduced.atoms
     assert atoms[("A1",)] == pytest.approx(0.0, abs=1e-9)
     assert atoms[("A1", "A2")] == pytest.approx(1.0, abs=1e-9)
     assert atoms[("A2",)] == pytest.approx(0.0, abs=1e-9)
@@ -104,7 +104,7 @@ def test_c03_parallel_measurement():
 
 def test_c04_orthogonal_measurement():
     rep = run_epr_measure(0.0, math.pi / 2.0)
-    atoms = rep.reduced.venn.atoms
+    atoms = rep.reduced.atoms
     assert atoms[("A1",)] == pytest.approx(1.0, abs=1e-9)
     assert atoms[("A1", "A2")] == pytest.approx(0.0, abs=1e-9)
     assert atoms[("A2",)] == pytest.approx(1.0, abs=1e-9)
@@ -122,8 +122,8 @@ def test_c06_post_measurement_purity_on_grid(measurement_grid):
 
 def test_c07_ghz_atoms_and_reductions():
     rho = ghz(3).to_density()
-    diagram = venn_atoms(joint_entropies(rho, PartitionSpec.of(A=[0], B=[1], C=[2])))
-    for subset, atom in diagram.atoms.items():
+    atoms = venn_atoms(joint_entropies(rho, PartitionSpec.of(A=[0], B=[1], C=[2])))
+    for subset, atom in atoms.items():
         expect = {1: -1.0, 2: 1.0, 3: 0.0}[len(subset)]
         assert atom == pytest.approx(expect, abs=1e-9), subset
     for i in range(3):
@@ -134,7 +134,7 @@ def test_c07_ghz_atoms_and_reductions():
 def test_c08_cat_mutual_and_center():
     for grouping in ("atom", "atom_gamma"):
         rep = run_cat(with_observer=True, grouping=grouping)
-        assert rep.reduced.venn.atoms[("cat", "observer")] == pytest.approx(1.0, abs=1e-9)
+        assert rep.reduced.atoms[("cat", "observer")] == pytest.approx(1.0, abs=1e-9)
         assert rep.diagram.center == pytest.approx(0.0, abs=1e-9)
 
 
@@ -172,7 +172,7 @@ def test_c11_property_suites():
     for k in range(200):
         dims, part = layouts[k % 3]
         joints = joint_entropies(random_density(dims, seed=10_000 + k), part)
-        resummed = helpers.resum_joints(venn_atoms(joints).atoms)
+        resummed = helpers.resum_joints(venn_atoms(joints))
         worst = max(abs(resummed[s] - joints[s]) for s in joints)
         assert worst <= 1e-9
 

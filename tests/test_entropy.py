@@ -26,6 +26,7 @@ from entroscope import (
     von_neumann_entropy,
 )
 from entroscope import entropy
+from entroscope.entropy import INEQ_SLACK
 from entroscope.linalg import partial_trace
 
 # h(3/4) = 2 - (3/4) log2 3, evaluated independently
@@ -168,27 +169,27 @@ def test_conditional_and_mutual_epr():
 
 
 def test_venn_atoms_epr():
-    diagram = venn_atoms(joint_entropies(epr_singlet().to_density(), EPR_PARTITION))
-    assert diagram.atoms[("L",)] == pytest.approx(-1.0, abs=1e-9)
-    assert diagram.atoms[("R",)] == pytest.approx(-1.0, abs=1e-9)
-    assert diagram.atoms[("L", "R")] == pytest.approx(2.0, abs=1e-9)
+    atoms = venn_atoms(joint_entropies(epr_singlet().to_density(), EPR_PARTITION))
+    assert atoms[("L",)] == pytest.approx(-1.0, abs=1e-9)
+    assert atoms[("R",)] == pytest.approx(-1.0, abs=1e-9)
+    assert atoms[("L", "R")] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_venn_atoms_ghz():
-    diagram = venn_atoms(
+    atoms = venn_atoms(
         joint_entropies(ghz(3).to_density(), PartitionSpec.of(A=[0], B=[1], C=[2]))
     )
-    for subset, atom in diagram.atoms.items():
+    for subset, atom in atoms.items():
         expect = {1: -1.0, 2: 1.0, 3: 0.0}[len(subset)]
         assert atom == pytest.approx(expect, abs=1e-9), subset
 
 
 def test_venn_atoms_independent_bits():
     rho = DensityOperator(np.eye(4) / 4.0, (2, 2))
-    diagram = venn_atoms(joint_entropies(rho, PartitionSpec.of(A=[0], B=[1])))
-    assert diagram.atoms[("A",)] == pytest.approx(1.0, abs=1e-12)
-    assert diagram.atoms[("B",)] == pytest.approx(1.0, abs=1e-12)
-    assert diagram.atoms[("A", "B")] == pytest.approx(0.0, abs=1e-12)
+    atoms = venn_atoms(joint_entropies(rho, PartitionSpec.of(A=[0], B=[1])))
+    assert atoms[("A",)] == pytest.approx(1.0, abs=1e-12)
+    assert atoms[("B",)] == pytest.approx(1.0, abs=1e-12)
+    assert atoms[("A", "B")] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_venn_atoms_match_closed_forms():
@@ -197,14 +198,14 @@ def test_venn_atoms_match_closed_forms():
     for seed in range(8):
         rho2 = random_density((2, 2), seed=seed)
         j2 = joint_entropies(rho2, PartitionSpec.of(A=[0], B=[1]))
-        atoms2 = venn_atoms(j2).atoms
+        atoms2 = venn_atoms(j2)
         oracle2 = helpers.venn_atoms_2(j2[("A",)], j2[("B",)], j2[("A", "B")])
         for subset, val in oracle2.items():
             assert atoms2[subset] == pytest.approx(val, abs=1e-9)
 
         rho3 = random_density((2, 2, 2), seed=seed)
         j3 = joint_entropies(rho3, PartitionSpec.of(A=[0], B=[1], C=[2]))
-        atoms3 = venn_atoms(j3).atoms
+        atoms3 = venn_atoms(j3)
         for subset, val in helpers.venn_atoms_3(j3).items():
             assert atoms3[subset] == pytest.approx(val, abs=1e-9)
 
@@ -225,7 +226,7 @@ def test_venn_atoms_match_dense_solve_on_random_joints(parties):
     rng = np.random.default_rng(100 + parties)
     for _ in range(20):
         joints = _random_joints(rng, parties)
-        atoms = venn_atoms(joints).atoms
+        atoms = venn_atoms(joints)
         oracle = helpers.venn_atoms_solve(joints)
         assert set(atoms) == set(oracle)
         assert max(abs(atoms[t] - oracle[t]) for t in oracle) <= 1e-12
@@ -238,7 +239,7 @@ def test_venn_atoms_match_dense_solve_on_random_states(factors):
     for seed in range(4):
         for state in (random_density(dims, seed=seed), random_pure(dims, seed=seed)):
             joints = joint_entropies(state, part)
-            atoms = venn_atoms(joints).atoms
+            atoms = venn_atoms(joints)
             oracle = helpers.venn_atoms_solve(joints)
             assert max(abs(atoms[t] - oracle[t]) for t in oracle) <= 1e-12
 
@@ -282,7 +283,7 @@ def test_mobius_round_trip():
     for seed in range(10):
         for dims, part in specs:
             joints = joint_entropies(random_density(dims, seed=seed), part)
-            resummed = helpers.resum_joints(venn_atoms(joints).atoms)
+            resummed = helpers.resum_joints(venn_atoms(joints))
             for subset, val in joints.items():
                 assert resummed[subset] == pytest.approx(val, abs=1e-9)
 
@@ -306,9 +307,9 @@ def test_ternary_center_values():
 
 
 def test_ternary_center_requires_three_parties():
-    diagram = venn_atoms(joint_entropies(epr_singlet().to_density(), EPR_PARTITION))
+    atoms = venn_atoms(joint_entropies(epr_singlet().to_density(), EPR_PARTITION))
     with pytest.raises(ValidationError, match="3 parties"):
-        ternary_center(diagram)
+        ternary_center(atoms)
 
 
 def test_audit_epr_monotonicity():
@@ -318,7 +319,8 @@ def test_audit_epr_monotonicity():
         (("L",), ("L", "R")),
         (("R",), ("L", "R")),
     }
-    assert audit.subadditivity_ok and audit.triangle_ok
+    assert audit.subadditivity_worst_slack >= -INEQ_SLACK
+    assert audit.triangle_worst_slack >= -INEQ_SLACK
     assert audit.strong_subadditivity_worst_slack is None  # two parties only
 
 
@@ -342,7 +344,7 @@ def test_audit_classical_states_never_flag():
             joints = joint_entropies(DensityOperator(mat, dims), part)
             audit = audit_inequalities(joints)
             assert audit.monotonicity_violated == ()
-            atoms = venn_atoms(joints).atoms
+            atoms = venn_atoms(joints)
             assert all(v >= -1e-9 for s, v in atoms.items() if len(s) < 3)
 
 
@@ -355,7 +357,7 @@ def test_classical_xor_center_is_negative():
     joints = joint_entropies(
         DensityOperator(mat, (2, 2, 2)), PartitionSpec.of(A=[0], B=[1], C=[2])
     )
-    atoms = venn_atoms(joints).atoms
+    atoms = venn_atoms(joints)
     assert ternary_center(venn_atoms(joints)) == pytest.approx(-1.0, abs=1e-12)
     assert all(v >= -1e-12 for s, v in atoms.items() if len(s) < 3)
     assert audit_inequalities(joints).monotonicity_violated == ()
@@ -367,8 +369,9 @@ def test_audit_ssa_on_random_states():
             random_density((2, 2, 2), seed=seed), PartitionSpec.of(A=[0], B=[1], C=[2])
         )
         audit = audit_inequalities(joints)
-        assert audit.strong_subadditivity_ok
-        assert audit.strong_subadditivity_worst_slack >= -1e-9
+        assert audit.subadditivity_worst_slack >= -INEQ_SLACK
+        assert audit.triangle_worst_slack >= -INEQ_SLACK
+        assert audit.strong_subadditivity_worst_slack >= -INEQ_SLACK
 
 
 def test_audit_raises_on_fabricated_violations():

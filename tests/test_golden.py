@@ -16,9 +16,14 @@ its file first.
 
 runs every case with report.q9 hooked and writes, per case, the
 unrounded floats the document was built from, in the order q9 saw them.
-Two source trees' files can then be diffed value by value, to see how
-far a change moved the numbers and how close each came to flipping a
-printed 9th digit.
+
+    PYTHONPATH=src python tests/test_golden.py --compare PARENT.json CHANGE.json
+
+diffs two such files, from two source trees, value by value: per case it
+prints the largest |delta| and the smallest distance of a parent value to
+a 9th-digit rounding boundary, and how many floats are bit-identical.  It
+exits 1 when a case's float count differs or a delta reaches its value's
+rounding margin, i.e. when a printed digit could have flipped.
 """
 
 import json
@@ -31,7 +36,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entroscope.cli import main
+import helpers
+from entroscope.cli import main, parse_partition
+from entroscope.entropy import DiagramBundle, PartitionSpec
+from entroscope.linalg import PureState
+from entroscope.report import load_state
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -159,6 +168,65 @@ def test_cli_stdout_matches_golden(name, monkeypatch):
     assert out == (GOLDEN / "out" / f"{name}.txt").read_text()
 
 
+# The distinct (state file, partition) pairs the diagram and audit cases
+# run, in case order; None is audit's default of one party per factor.
+STATE_PAIRS = list(dict.fromkeys(
+    (opts["--state"], opts.get("--partition"))
+    for opts in (dict(zip(argv[1::2], argv[2::2])) for argv in CASES.values())
+    if "--state" in opts
+))
+
+
+def _jacobi_entropy(matrix) -> float:
+    lam = helpers.jacobi_eig(matrix)[0]
+    lam = lam[lam > 0.0]
+    return float(-(lam * np.log2(lam)).sum())
+
+
+@pytest.mark.parametrize(
+    "path, partition", STATE_PAIRS,
+    ids=[f"{Path(path).stem}-{part or 'default'}" for path, part in STATE_PAIRS],
+)
+def test_state_diagram_clears_rounding_margins(path, partition):
+    # Every joint, atom and worst slack a state-file document prints must be
+    # closer to an independent oracle's value than to the nearest 9th-digit
+    # rounding boundary, so the golden bytes do not rest on the library's
+    # own round-off.  Oracle: explicit-loop partial traces, Jacobi spectra,
+    # a dense Mobius solve and the brute-force bitmask audit.
+    state = load_state(GOLDEN / path)
+    if partition is None:  # the audit command's default
+        spec = PartitionSpec(tuple((f"F{i}", frozenset({i})) for i in range(state.num_factors)))
+    else:
+        spec = parse_partition(partition)
+    bundle = DiagramBundle.of(state, spec)
+
+    if isinstance(state, PureState):
+        rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    else:
+        rho = state.matrix
+    joints = {
+        subset: _jacobi_entropy(helpers.brute_partial_trace(
+            rho, state.dims, [f for name in subset for f in bundle.factors[name]]))
+        for subset in bundle.joints
+    }
+    atoms = helpers.venn_atoms_solve(joints)
+    _, *slacks = helpers.audit_oracle(joints)
+
+    audit = bundle.audit
+    checks = [("joint", k, v, joints[k]) for k, v in bundle.joints.items()]
+    checks += [("atom", k, v, atoms[k]) for k, v in bundle.atoms.items()]
+    for name, oracle in zip(("subadditivity", "triangle", "strong_subadditivity"), slacks):
+        value = getattr(audit, f"{name}_worst_slack")
+        assert (value is None) == (oracle is None), name
+        if value is not None:
+            checks.append(("worst slack", name, value, oracle))
+    too_far = [
+        (what, key, value, oracle) for what, key, value, oracle in checks
+        if not abs(value - oracle) < helpers.rounding_margin(value)
+    ]
+    assert not too_far, too_far
+
+
 def _write() -> None:
     os.environ.pop("ENTROSCOPE_SEED", None)
     (GOLDEN / "states").mkdir(parents=True, exist_ok=True)
@@ -201,11 +269,37 @@ def _floats(out: str) -> None:
     out_path.write_text(json.dumps(floats, indent=1) + "\n")
 
 
+def _compare(parent: str, change: str) -> int:
+    old = json.loads(Path(parent).read_text())
+    new = json.loads(Path(change).read_text())
+    failed = False
+    total = same = 0
+    for name in sorted(old.keys() | new.keys()):
+        a, b = old.get(name, []), new.get(name, [])
+        if len(a) != len(b):
+            print(f"{name}: {len(a)} floats at the parent, {len(b)} at the change")
+            failed = True
+            continue
+        deltas = [abs(x - y) for x, y in zip(a, b)]
+        margins = [helpers.rounding_margin(x) for x in a]
+        flips = sum(1 for d, m in zip(deltas, margins) if d and d >= m)
+        total += len(a)
+        same += sum(x.hex() == y.hex() for x, y in zip(a, b))
+        line = (f"{name}: {len(a)} floats, max |delta| {max(deltas, default=0.0):.3g}, "
+                f"smallest margin {min(margins, default=float('inf')):.3g}")
+        print(line + (f", {flips} reach their margin" if flips else ""))
+        failed = failed or flips > 0
+    print(f"{same} of {total} floats bit-identical")
+    return 1 if failed else 0
+
+
 if __name__ == "__main__":
     args = sys.argv[1:]
     if args == ["--write"]:
         _write()
     elif len(args) == 2 and args[0] == "--floats":
         _floats(args[1])
+    elif len(args) == 3 and args[0] == "--compare":
+        raise SystemExit(_compare(args[1], args[2]))
     else:
         raise SystemExit(__doc__)

@@ -127,7 +127,7 @@ def test_repeated_measurement_agrees():
 def test_device_diagram_parallel():
     post = premeasure(epr_singlet(), parallel_setup())
     joints = device_joints(post, parallel_setup())
-    atoms = venn_atoms(joints).atoms
+    atoms = venn_atoms(joints)
     assert atoms[("A1",)] == pytest.approx(0.0, abs=1e-9)
     assert atoms[("A2",)] == pytest.approx(0.0, abs=1e-9)
     assert atoms[("A1", "A2")] == pytest.approx(1.0, abs=1e-9)
@@ -136,7 +136,7 @@ def test_device_diagram_parallel():
 def test_device_diagram_orthogonal():
     post = premeasure(epr_singlet(), orthogonal_setup())
     joints = device_joints(post, orthogonal_setup())
-    atoms = venn_atoms(joints).atoms
+    atoms = venn_atoms(joints)
     assert atoms[("A1",)] == pytest.approx(1.0, abs=1e-9)
     assert atoms[("A2",)] == pytest.approx(1.0, abs=1e-9)
     assert atoms[("A1", "A2")] == pytest.approx(0.0, abs=1e-9)
@@ -149,7 +149,7 @@ def test_device_diagrams_stay_classical():
         setup = MeasurementSetup.of((0, float(t1), "A1"), (1, float(t2), "A2"))
         post = premeasure(epr_singlet(), setup)
         joints = device_joints(post, setup)
-        atoms = venn_atoms(joints).atoms
+        atoms = venn_atoms(joints)
         assert all(v >= -1e-9 for v in atoms.values())
 
 

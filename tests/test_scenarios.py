@@ -36,8 +36,8 @@ ORTHOGONAL = math.pi / 2
 
 def test_epr_pair_report():
     rep = run_epr_pair()
-    joints = rep.diagram.venn.joints
-    atoms = rep.diagram.venn.atoms
+    joints = rep.diagram.joints
+    atoms = rep.diagram.atoms
     assert joints[("L",)] == pytest.approx(1.0, abs=1e-9)
     assert joints[("R",)] == pytest.approx(1.0, abs=1e-9)
     assert joints[("L", "R")] == pytest.approx(0.0, abs=1e-9)
@@ -49,7 +49,7 @@ def test_epr_pair_report():
 
 def test_epr_measure_parallel():
     rep = run_epr_measure(0.0, 0.0)
-    dev = rep.reduced.venn.atoms
+    dev = rep.reduced.atoms
     assert dev[("A1",)] == pytest.approx(0.0, abs=1e-9)
     assert dev[("A2",)] == pytest.approx(0.0, abs=1e-9)
     assert dev[("A1", "A2")] == pytest.approx(1.0, abs=1e-9)
@@ -61,7 +61,7 @@ def test_epr_measure_parallel():
 def test_epr_measure_orthogonal():
     for t1, t2 in ((0.0, ORTHOGONAL), (ORTHOGONAL, 0.0)):
         rep = run_epr_measure(t1, t2)
-        dev = rep.reduced.venn.atoms
+        dev = rep.reduced.atoms
         assert dev[("A1",)] == pytest.approx(1.0, abs=1e-9)
         assert dev[("A2",)] == pytest.approx(1.0, abs=1e-9)
         assert dev[("A1", "A2")] == pytest.approx(0.0, abs=1e-9)
@@ -71,7 +71,7 @@ def test_epr_measure_orthogonal():
 
 def test_epr_measure_intermediate_angle():
     rep = run_epr_measure(0.0, math.pi / 4)
-    mutual = rep.reduced.venn.atoms[("A1", "A2")]
+    mutual = rep.reduced.atoms[("A1", "A2")]
     expect = 1.0 - helpers.binary_entropy(math.sin(math.pi / 8) ** 2)
     assert mutual == pytest.approx(expect, abs=1e-9)
     assert mutual == pytest.approx(0.399123963307, abs=1e-9)
@@ -86,7 +86,7 @@ def test_epr_measure_full_diagram_matches_independent_route():
     setup = MeasurementSetup.of((0, t1, "A1"), (1, t2, "A2"))
     rho = premeasure(epr_singlet(), setup).to_density()
     factor_map = {"Q": (0, 1), "A1": (2,), "A2": (3,)}
-    for subset, val in rep.diagram.venn.joints.items():
+    for subset, val in rep.diagram.joints.items():
         keep = [f for name in subset for f in factor_map[name]]
         red = helpers.brute_partial_trace(rho.matrix, (2, 2, 2, 2), keep)
         assert val == pytest.approx(helpers.entropy_oracle(red), abs=1e-9), subset
@@ -157,7 +157,7 @@ def test_sampled_seed_defaults_to_zero():
 @pytest.mark.parametrize("grouping", ["atom", "atom_gamma"])
 def test_cat_with_observer(grouping):
     rep = run_cat(with_observer=True, grouping=grouping)
-    pair = rep.reduced.venn.atoms
+    pair = rep.reduced.atoms
     assert pair[("cat",)] == pytest.approx(0.0, abs=1e-9)
     assert pair[("observer",)] == pytest.approx(0.0, abs=1e-9)
     assert pair[("cat", "observer")] == pytest.approx(1.0, abs=1e-9)
@@ -166,14 +166,14 @@ def test_cat_with_observer(grouping):
     # merging any grouping of the chain reproduces the three-party GHZ numbers
     ghz_joints = joint_entropies(ghz(3).to_density(), PartitionSpec.of(A=[0], B=[1], C=[2]))
     by_size = {len(s): v for s, v in ghz_joints.items()}
-    for subset, val in rep.diagram.venn.joints.items():
+    for subset, val in rep.diagram.joints.items():
         assert val == pytest.approx(by_size[len(subset)], abs=1e-9), subset
 
 
 @pytest.mark.parametrize("grouping", ["atom", "atom_gamma"])
 def test_cat_without_observer(grouping):
     rep = run_cat(with_observer=False, grouping=grouping)
-    assert rep.diagram.venn.joints[("cat",)] == pytest.approx(1.0, abs=1e-9)
+    assert rep.diagram.joints[("cat",)] == pytest.approx(1.0, abs=1e-9)
     assert rep.q_devices_mutual == pytest.approx(2.0, abs=1e-9)
     assert rep.diagram.center is None and rep.reduced is None
 
@@ -309,12 +309,12 @@ def test_runners_check_their_own_inputs(monkeypatch, runner, kwargs, message):
 def test_diagram_bundle_of_traces_out_uncovered_factors():
     rho = ghz(4).to_density()
     bundle = scenarios.DiagramBundle.of(rho, PartitionSpec.of(X=[3], Y=[1]))
-    assert bundle.party_factors == (("X", (3,)), ("Y", (1,)))
-    assert bundle.venn.joints == pytest.approx({("X",): 1.0, ("Y",): 1.0, ("X", "Y"): 1.0})
-    assert bundle.venn.atoms[("X", "Y")] == pytest.approx(1.0)
+    assert list(bundle.factors.items()) == [("X", (3,)), ("Y", (1,))]
+    assert bundle.joints == pytest.approx({("X",): 1.0, ("Y",): 1.0, ("X", "Y"): 1.0})
+    assert bundle.atoms[("X", "Y")] == pytest.approx(1.0)
     assert bundle.audit.monotonicity_violated == ()
     full = scenarios.DiagramBundle.of(rho, PartitionSpec.of(X=[0, 2, 3], Y=[1]))
-    assert full.venn.joints == joint_entropies(rho, PartitionSpec.of(X=[0, 2, 3], Y=[1]))
+    assert full.joints == joint_entropies(rho, PartitionSpec.of(X=[0, 2, 3], Y=[1]))
 
 
 def _pure_states_and_partitions():

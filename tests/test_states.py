@@ -150,3 +150,19 @@ def test_random_pure_contract():
     psi = random_pure((2, 2, 2), seed=7)
     assert abs(np.sum(np.abs(psi.amplitudes) ** 2) - 1.0) < 1e-12
     assert np.array_equal(psi.amplitudes, random_pure((2, 2, 2), seed=7).amplitudes)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ghz(3.7),
+    lambda: random_pure((2.9, 2), seed=1),
+    lambda: random_density((2.5, 2), seed=1),
+], ids=["ghz", "random_pure", "random_density"])
+def test_fractional_sizes_are_refused(build):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        build()
+
+
+def test_numpy_integer_sizes_still_work():
+    assert ghz(np.int64(3)).dims == (2, 2, 2)
+    assert random_pure((np.int32(2), np.int64(3)), seed=1).dims == (2, 3)
+    assert random_density(np.array([2, 2]), seed=1).dims == (2, 2)
