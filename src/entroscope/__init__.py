@@ -28,9 +28,9 @@ _MODULE_OF = {
         "random_density", "random_pure", "spin_observable",
     ), "states"),
     **dict.fromkeys((
-        "CLASSICAL_BOUND", "TSIRELSON_BOUND", "MeasurementSetup", "OutcomeRecords",
-        "chsh_value", "chsh_values", "correlator", "device_joints", "device_partition",
-        "full_partition", "outcome_probabilities", "premeasure", "sample_records",
+        "CLASSICAL_BOUND", "TSIRELSON_BOUND", "MeasurementSetup", "chsh_value", "chsh_values",
+        "correlator", "device_joints", "device_partition", "full_partition",
+        "outcome_probabilities", "premeasure", "sample_records",
     ), "measurement"),
     "CANONICAL_CHSH_ANGLES": "scenarios",
     "DiagramBundle": "entropy",

@@ -55,37 +55,6 @@ class MeasurementSetup:
         return tuple(lbl for _, _, lbl in self.taps)
 
 
-@dataclass(frozen=True, eq=False)
-class OutcomeRecords:
-    """Sampled shots as one array.
-
-    outcomes[i] is shot i's outcome index, first device as the most
-    significant bit.  One byte per shot for up to eight devices, the only
-    memory that grows with the shots.
-    """
-
-    outcomes: np.ndarray
-    devices: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OutcomeRecords):
-            return NotImplemented
-        return self.devices == other.devices and np.array_equal(self.outcomes, other.outcomes)
-
-    def counts(self) -> np.ndarray:
-        """Shots per outcome index, length 2**devices.
-
-        bincount widens its input to intp, so it runs one block at a time.
-        """
-        total = np.zeros(2 ** len(self.devices), dtype=np.intp)
-        for start in range(0, len(self), _DRAW_BLOCK):
-            total += np.bincount(self.outcomes[start : start + _DRAW_BLOCK], minlength=len(total))
-        return total
-
-
 def premeasure(state: PureState, setup: MeasurementSetup) -> PureState:
     """Entangle one new pointer qubit per tap with the tapped qubit.
 
@@ -157,23 +126,33 @@ def outcome_probabilities(post: PureState, setup: MeasurementSetup) -> np.ndarra
     return p.reshape(-1)
 
 
-def sample_records(
-    post: PureState, setup: MeasurementSetup, shots: int, seed: int
-) -> OutcomeRecords:
-    """Draw iid shots from outcome_probabilities into one OutcomeRecords.
+def _count(what: str, value, least: int = 0) -> int:
+    """value as a plain int, refused unless it is an integer >= least."""
+    n = _index(value, what)
+    if n < least:
+        raise ValidationError(f"{what} must be >= {least}, got {n}")
+    return n
 
-    Every shot comes from the first child of SeedSequence(seed), so the
-    records depend only on (seed, shots).  The draws come in blocks of
-    _DRAW_BLOCK shots; consecutive choice calls continue one stream of
-    uniforms, so the blocks match one call over all the shots.
+
+def sample_records(post: PureState, setup: MeasurementSetup, shots: int, seed: int) -> np.ndarray:
+    """Draw iid shots from outcome_probabilities: outcomes[i] is shot i's
+    outcome index, first device as the most significant bit, one byte per
+    shot for up to eight devices.
+
+    Each shot inverts the cumulative distribution at a uniform from the
+    first child of SeedSequence(seed).  That is the algorithm of
+    Generator.choice with probabilities, written out so the outcomes
+    depend only on (seed, shots) and Generator.random.  The uniforms come
+    in blocks of _DRAW_BLOCK; consecutive random calls continue one
+    stream, so the blocks match one call over all the shots.
     """
-    shots = int(shots)
-    if shots < 1:
-        raise ValidationError(f"shots must be >= 1, got {shots}")
+    shots = _count("shots", shots, least=1)
+    seed = _count("seed", seed)
     if shots > MAX_SHOTS:
         raise ValidationError(f"{shots} shots are too many to hold in memory")
     p = outcome_probabilities(post, setup)
-    p = p / p.sum()
+    cdf = (p / p.sum()).cumsum()
+    cdf /= cdf[-1]
     try:
         outcomes = np.empty(shots, dtype=np.min_scalar_type(len(p) - 1))
     except MemoryError:
@@ -181,8 +160,8 @@ def sample_records(
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     for lo in range(0, shots, _DRAW_BLOCK):
         hi = min(lo + _DRAW_BLOCK, shots)
-        outcomes[lo:hi] = rng.choice(len(p), size=hi - lo, p=p)
-    return OutcomeRecords(outcomes, setup.device_labels)
+        outcomes[lo:hi] = cdf.searchsorted(rng.random(hi - lo), side="right")
+    return outcomes
 
 
 def _correlators(left, right) -> np.ndarray:

@@ -256,7 +256,7 @@ def _region_label(subset: tuple[str, ...], parties: tuple[str, ...]) -> str:
 
 
 def _two_columns(rows, label_head: str, value_head: str, spec: str) -> list[str]:
-    width = max(len(label) for label, _ in rows)
+    width = max([len(label_head), *(len(label) for label, _ in rows)])
     lines = [f"{label_head:<{width}}  {value_head}"]
     for label, value in rows:
         lines.append(f"{label:<{width}}  {value:{spec}}")

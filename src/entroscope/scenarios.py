@@ -20,6 +20,8 @@ from .measurement import (
     CLASSICAL_BOUND,
     TSIRELSON_BOUND,
     MeasurementSetup,
+    _DRAW_BLOCK,
+    _count,
     chsh_values,
     device_partition,
     full_partition,
@@ -60,11 +62,6 @@ _ORTHODOX_ATOMS = {
         ("Q", "A1", "A2"): 0.0,
     },
 }
-
-
-def _non_negative(what: str, value: int | None) -> None:
-    if value is not None and value < 0:
-        raise ValidationError(f"{what} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -127,9 +124,13 @@ def orthodox_reference(case: str) -> dict:
 
 def _sampled_block(post, setup, shots: int, seed: int, exact_mutual: float) -> dict:
     """Sampled statistics of run_epr_measure's two devices."""
-    records = sample_records(post, setup, shots=shots, seed=seed)
+    outcomes = sample_records(post, setup, shots=shots, seed=seed)
     labels = setup.device_labels
-    counts = {format(i, "02b"): int(n) for i, n in enumerate(records.counts())}
+    # bincount widens its input to intp, so it counts one block at a time
+    tally = np.zeros(4, dtype=np.intp)
+    for lo in range(0, shots, _DRAW_BLOCK):
+        tally += np.bincount(outcomes[lo : lo + _DRAW_BLOCK], minlength=4)
+    counts = {format(i, "02b"): int(n) for i, n in enumerate(tally)}
     freqs = {k: v / shots for k, v in counts.items()}
     joint_p = np.array(list(freqs.values()))
     entropies: dict[str, float] = {}
@@ -151,7 +152,7 @@ def _sampled_block(post, setup, shots: int, seed: int, exact_mutual: float) -> d
     }
 
 
-def run_epr_measure(theta1, theta2, shots: int = 0, seed: int | None = None) -> DiagramReport:
+def run_epr_measure(theta1, theta2, shots: int = 0, seed: int = 0) -> DiagramReport:
     """Singlet with device A1 reading qubit 0 at theta1 and A2 reading
     qubit 1 at theta2.
 
@@ -161,8 +162,8 @@ def run_epr_measure(theta1, theta2, shots: int = 0, seed: int | None = None) -> 
     orthodox reference table when the angles are the parallel or
     orthogonal textbook arrangement.
     """
-    _non_negative("shots", shots)
-    _non_negative("seed", seed)
+    shots = _count("shots", shots)
+    seed = _count("seed", seed)
     setup = MeasurementSetup.of((0, theta1, "A1"), (1, theta2, "A2"))
     (_, t1, _), (_, t2, _) = setup.taps
     post = premeasure(epr_singlet(), setup)
@@ -173,17 +174,12 @@ def run_epr_measure(theta1, theta2, shots: int = 0, seed: int | None = None) -> 
     dev_bundle = DiagramBundle.of(post, device_partition(post, setup))
     exact_mutual = mutual_entropy(dev_bundle.joints, "A1", "A2")
 
-    sampled = None
-    used_seed = seed
-    if shots > 0:
-        used_seed = 0 if seed is None else int(seed)
-        sampled = _sampled_block(post, setup, shots, used_seed, exact_mutual)
-
+    sampled = _sampled_block(post, setup, shots, seed, exact_mutual) if shots else None
     case = _orthodox_case_for(t1, t2)
     return DiagramReport(
         scenario="epr_measure",
         parameters={"theta1": t1, "theta2": t2, "shots": shots, "chunk_size": None},
-        seed=used_seed,
+        seed=seed,
         diagram=full_bundle,
         reduced=dev_bundle,
         q_devices_mutual=q_dev,
@@ -229,15 +225,15 @@ def run_cat(with_observer: bool = False, grouping: str = "atom_gamma") -> Diagra
 def run_chsh(
     angles: tuple[float, float, float, float] | None = None,
     scan_points: int = 0,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> DiagramReport:
     """CHSH correlator sum for one angle set, optionally with a random scan.
 
     The scan draws angle quadruples uniformly from [0, 2 pi) and tracks the
     largest |S|; it can approach but never pass 2*sqrt(2).
     """
-    _non_negative("seed", seed)
-    _non_negative("scan points", scan_points)
+    seed = _count("seed", seed)
+    scan_points = _count("scan points", scan_points)
     if scan_points > MAX_SCAN_POINTS:
         raise ValidationError(f"scan points must be <= {MAX_SCAN_POINTS}, got {scan_points}")
     if angles is None:
@@ -254,26 +250,23 @@ def run_chsh(
         "tsirelson_bound": TSIRELSON_BOUND,
         "violates_classical": abs(value) > CLASSICAL_BOUND + 1e-9,
     }
-    used_seed = seed
     if scan_points > 0:
-        used_seed = 0 if seed is None else int(seed)
-        rng = np.random.default_rng(used_seed)
-        points = int(scan_points)
+        rng = np.random.default_rng(seed)
         best = 0.0
         # consecutive uniform calls continue one stream, so blocking leaves
         # the draws, and hence the maximum, as a single call would give them
-        for start in range(0, points, _SCAN_BLOCK):
-            quads = rng.uniform(0.0, 2.0 * math.pi, size=(min(_SCAN_BLOCK, points - start), 4))
+        for start in range(0, scan_points, _SCAN_BLOCK):
+            quads = rng.uniform(0.0, 2.0 * math.pi, size=(min(_SCAN_BLOCK, scan_points - start), 4))
             best = max(best, float(np.max(np.abs(chsh_values(quads)))))
         block["scan"] = {
-            "points": points,
-            "seed": used_seed,
+            "points": scan_points,
+            "seed": seed,
             "max_abs_value": best,
         }
     return DiagramReport(
         scenario="chsh",
-        parameters={"angles": angles, "scan_points": int(scan_points)},
-        seed=used_seed,
+        parameters={"angles": angles, "scan_points": scan_points},
+        seed=seed,
         chsh=block,
     )
 

@@ -10,15 +10,17 @@ through that matrix (the package evaluates the closed-form alternating
 sums; venn_atoms_2 and venn_atoms_3 write the same sums out by hand, so
 they pin the formula, not the route), the characteristic polynomial
 from Faddeev-LeVerrier trace recursion (no eigensolver at all), sampled
-records from a per-shot loop over the same seeded draws (the package
-fills one outcome array), singlet correlators from the dense 4x4
-operator np.kron builds (the package contracts 2x2 observables in one
-einsum), pre-measurement from the padded-ancilla R / CNOT / R^dag
-circuit as np.kron matrices (the package stacks one projected copy of
-the state per pointer value), and the audit's worst slacks from every
-(A, B, C) triple of bitmasks (the package walks unordered (A, C) pairs
-per B).  Agreement between the two routes is the point of the tests.
-Purity and the schema-checking document parser are test-only tools.
+records from a per-shot loop over one Generator.choice call on the same
+seeded stream (the package inverts the cumulative distribution itself,
+block by block, into one outcome array), singlet correlators from the
+dense 4x4 operator np.kron builds (the package contracts 2x2
+observables in one einsum), pre-measurement from the padded-ancilla
+R / CNOT / R^dag circuit as np.kron matrices (the package stacks one
+projected copy of the state per pointer value), and the audit's worst
+slacks from every (A, B, C) triple of bitmasks (the package walks
+unordered (A, C) pairs per B).  Agreement between the two routes is
+the point of the tests.  Purity and the schema-checking document parser
+are test-only tools.
 """
 
 import json
@@ -305,7 +307,8 @@ class LoopRecord:
 
 def sample_records_loop(post, setup, shots, seed) -> list:
     """One LoopRecord per shot, drawn with one rng.choice call from the
-    stream measurement.sample_records uses and unpacked bit by bit."""
+    stream measurement.sample_records uses and unpacked bit by bit: the
+    reference for sample_records' written-out inverse CDF."""
     from entroscope.measurement import outcome_probabilities
 
     labels = setup.device_labels
@@ -320,11 +323,11 @@ def sample_records_loop(post, setup, shots, seed) -> list:
     return records
 
 
-def record_bits(records) -> np.ndarray:
-    """(shots, devices) array of 0/1 from OutcomeRecords, one column per
-    device, first device as the most significant bit of the outcome."""
-    shifts = np.arange(len(records.devices) - 1, -1, -1)
-    return (records.outcomes[:, None] >> shifts) & 1
+def record_bits(outcomes, devices: int) -> np.ndarray:
+    """(shots, devices) array of 0/1 from sample_records' outcome indices,
+    one column per device, first device as the most significant bit."""
+    shifts = np.arange(devices - 1, -1, -1)
+    return (outcomes[:, None] >> shifts) & 1
 
 
 def singlet_expectation(x: float, y: float) -> float:

@@ -28,6 +28,7 @@ rounding margin, i.e. when a printed digit could have flipped.
 
 import json
 import os
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -166,6 +167,25 @@ def test_cli_stdout_matches_golden(name, monkeypatch):
     code, out, err = _run(CASES[name])
     assert code == 0, err
     assert out == (GOLDEN / "out" / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.endswith(".table")))
+def test_golden_table_values_line_up_under_their_header(name):
+    # In each two-column block (joints, atoms, orthodox atoms) every value
+    # starts at the header's second-column offset, however short the labels.
+    lines = (GOLDEN / "out" / f"{name}.txt").read_text().splitlines()
+    for i, head in enumerate(lines):
+        m = re.fullmatch(r"(subset|region) +((entropy|atom) \(bits\))", head)
+        if m is None:
+            continue
+        rows = 0
+        for row in lines[i + 1:]:
+            parts = row.split()
+            if len(parts) != 2 or not re.fullmatch(r"[+-]?\d+\.\d{9}", parts[1]):
+                break
+            assert len(row) - len(parts[1]) == m.start(2), f"{name}: {row!r} under {head!r}"
+            rows += 1
+        assert rows, f"{name}: no rows under {head!r}"
 
 
 # The distinct (state file, partition) pairs the diagram and audit cases

@@ -27,7 +27,7 @@ from entroscope import (
     ternary_center,
     venn_atoms,
 )
-from entroscope import linalg, measurement
+from entroscope import linalg, measurement, scenarios
 from entroscope.linalg import partial_trace
 from entroscope.measurement import CLASSICAL_BOUND, MAX_SHOTS, TSIRELSON_BOUND
 
@@ -221,34 +221,26 @@ def test_sampling_builds_no_density_matrix(monkeypatch):
     monkeypatch.setattr(PureState, "to_density", dense)
     monkeypatch.setattr(linalg, "partial_trace", dense)
     assert np.array_equal(outcome_probabilities(post, setup), expect)
-    assert sample_records(post, setup, shots=300, seed=4) == records
-
-
-def test_outcome_records_compare_devices_and_outcomes():
-    a = measurement.OutcomeRecords(np.array([0, 1, 3], dtype=np.uint8), ("A1", "A2"))
-    assert a == measurement.OutcomeRecords(np.array([0, 1, 3], dtype=np.uint8), ("A1", "A2"))
-    assert a != measurement.OutcomeRecords(np.array([0, 1, 2], dtype=np.uint8), ("A1", "A2"))
-    assert a != measurement.OutcomeRecords(np.array([0, 1, 3], dtype=np.uint8), ("A2", "A1"))
-    assert a.counts().tolist() == [1, 1, 0, 1]
+    assert np.array_equal(sample_records(post, setup, shots=300, seed=4), records)
 
 
 def test_sample_records_deterministic_per_seed():
     post = premeasure(epr_singlet(), parallel_setup())
     a = sample_records(post, parallel_setup(), shots=200, seed=5)
     b = sample_records(post, parallel_setup(), shots=200, seed=5)
-    assert a == b
+    assert np.array_equal(a, b)
     c = sample_records(post, parallel_setup(), shots=200, seed=6)
-    assert a != c
+    assert not np.array_equal(a, c)
 
 
 def test_sample_records_shape_and_order():
     post = premeasure(epr_singlet(), parallel_setup())
     records = sample_records(post, parallel_setup(), shots=100, seed=1)
     loop = helpers.sample_records_loop(post, parallel_setup(), shots=100, seed=1)
-    assert len(records) == 100
+    assert isinstance(records, np.ndarray) and records.shape == (100,)
+    assert records.dtype == np.uint8  # one byte per shot
     assert [r.shot for r in loop] == list(range(100))
-    assert records.devices == ("A1", "A2")
-    bits = helpers.record_bits(records)
+    bits = helpers.record_bits(records, 2)
     assert bits.shape == (100, 2)
     # shot order: row i of the array is shot i of the loop
     assert [tuple(row) for row in bits.tolist()] == [r.bits for r in loop]
@@ -260,15 +252,15 @@ def test_sample_records_deterministic_distribution():
     setup = MeasurementSetup.of((0, 0.0, "A"))
     post = premeasure(zero, setup)
     records = sample_records(post, setup, shots=50, seed=3)
-    assert helpers.record_bits(records).tolist() == [[0]] * 50
-    assert records.counts().tolist() == [50, 0]
+    assert helpers.record_bits(records, 1).tolist() == [[0]] * 50
+    assert records.tolist() == [0] * 50
 
 
 def test_sample_records_frequencies_converge():
     post = premeasure(epr_singlet(), parallel_setup())
     records = sample_records(post, parallel_setup(), shots=20000, seed=8)
-    n01 = int(np.sum((helpers.record_bits(records) == (0, 1)).all(axis=1)))
-    assert n01 == records.counts()[0b01]
+    n01 = int(np.sum((helpers.record_bits(records, 2) == (0, 1)).all(axis=1)))
+    assert n01 == np.count_nonzero(records == 0b01)
     assert n01 / 20000 == pytest.approx(0.5, abs=0.02)
 
 
@@ -280,19 +272,22 @@ def test_sample_records_frequencies_converge():
     block=st.integers(1, 64) | st.just(measurement._DRAW_BLOCK),
 )
 def test_sample_records_match_per_shot_loop(shots, seed, angles, block):
-    # a small draw block splits the shots into many choice calls; the loop
-    # oracle draws them all in one call
+    # a small block splits the shots into many random and bincount calls;
+    # the loop oracle draws them all in one Generator.choice call
     setup = MeasurementSetup.of((0, angles[0], "A1"), (1, angles[1], "A2"))
     post = premeasure(epr_singlet(), setup)
-    with mock.patch.object(measurement, "_DRAW_BLOCK", block):
+    with mock.patch.object(measurement, "_DRAW_BLOCK", block), \
+            mock.patch.object(scenarios, "_DRAW_BLOCK", block):
         records = sample_records(post, setup, shots=shots, seed=seed)
-        counts = records.counts()
+        sampled = scenarios._sampled_block(post, setup, shots, seed, exact_mutual=0.0)
     loop = helpers.sample_records_loop(post, setup, shots=shots, seed=seed)
     assert len(records) == len(loop) == shots
-    assert [tuple(row) for row in helpers.record_bits(records).tolist()] == [r.bits for r in loop]
-    assert all(r.devices == records.devices for r in loop)
-    assert counts.dtype == np.intp
-    assert counts.tolist() == [sum(1 for r in loop if r.bits == b) for b in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    assert records.dtype == np.uint8
+    assert [tuple(row) for row in helpers.record_bits(records, 2).tolist()] == [r.bits for r in loop]
+    assert all(r.devices == sampled["devices"] == ("A1", "A2") for r in loop)
+    assert sampled["counts"] == {
+        f"{b0}{b1}": sum(1 for r in loop if r.bits == (b0, b1)) for b0 in (0, 1) for b1 in (0, 1)
+    }
 
 
 def test_sample_records_validation():

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from entroscope import (
     run_epr_measure,
     run_epr_pair,
     run_scenario,
+    sample_records,
 )
 from entroscope import scenarios
 from entroscope.entropy import PartitionSpec
@@ -284,6 +286,11 @@ def test_scenario_parameters_follow_the_runners():
         scenarios.scenario_parameters("bell")
 
 
+def _sample(**kwargs):
+    setup = MeasurementSetup.of((0, 0.0, "A1"), (1, 0.0, "A2"))
+    return sample_records(premeasure(epr_singlet(), setup), setup, **{"shots": 5, "seed": 0, **kwargs})
+
+
 @pytest.mark.parametrize("runner, kwargs, message", [
     (run_epr_measure, {"shots": -5}, "shots must be >= 0, got -5"),
     (run_epr_measure, {"shots": 5, "seed": -1}, "seed must be >= 0, got -1"),
@@ -291,19 +298,50 @@ def test_scenario_parameters_follow_the_runners():
     (run_chsh, {"scan_points": -3}, "scan points must be >= 0, got -3"),
     (run_chsh, {"scan_points": scenarios.MAX_SCAN_POINTS + 1},
      f"scan points must be <= {scenarios.MAX_SCAN_POINTS}, got {scenarios.MAX_SCAN_POINTS + 1}"),
+    (run_epr_measure, {"shots": 10.5}, "shots must be an integer, got 10.5"),
+    (run_epr_measure, {"shots": 5, "seed": None}, "seed must be an integer, got None"),
+    (run_chsh, {"scan_points": 3.7}, "scan points must be an integer, got 3.7"),
+    (run_chsh, {"scan_points": 5, "seed": 1.9}, "seed must be an integer, got 1.9"),
+    (_sample, {"shots": 2.7}, "shots must be an integer, got 2.7"),
+    (_sample, {"shots": -1}, "shots must be >= 1, got -1"),
+    (_sample, {"seed": None}, "seed must be an integer, got None"),
+    (_sample, {"seed": -1}, "seed must be >= 0, got -1"),
+    (_sample, {"seed": 1.5}, "seed must be an integer, got 1.5"),
+    (_sample, {"seed": "3"}, "seed must be an integer, got '3'"),
 ], ids=["negative-shots", "negative-measure-seed", "negative-scan-seed", "negative-scan",
-        "scan-over-the-cap"])
+        "scan-over-the-cap", "fractional-shots", "no-measure-seed", "fractional-scan",
+        "fractional-scan-seed", "sample-fractional-shots", "sample-negative-shots",
+        "sample-no-seed", "sample-negative-seed", "sample-fractional-seed", "sample-string-seed"])
 def test_runners_check_their_own_inputs(monkeypatch, runner, kwargs, message):
     # library callers who skip the CLI get the checks it relies on, before
-    # anything is sampled or scanned
+    # anything is sampled or scanned: a fraction is refused, not truncated,
+    # and no value reaches numpy's seeding, whose errors are not
+    # ValidationError and whose None means OS entropy
     def no_draw(*args, **kwargs):
         raise AssertionError("drawing started")
 
-    monkeypatch.setattr(scenarios, "chsh_values", no_draw)
-    monkeypatch.setattr(scenarios, "sample_records", no_draw)
+    for owner, name in ((np.random, "default_rng"), (np.random, "SeedSequence"),
+                        (scenarios, "chsh_values"), (scenarios, "sample_records")):
+        monkeypatch.setattr(owner, name, no_draw)
     args = (0.0, 0.0) if runner is run_epr_measure else ()
-    with pytest.raises(ValidationError, match=f"^{message}$"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         runner(*args, **kwargs)
+
+
+def test_runners_report_shots_seeds_and_scan_points_as_ints():
+    # bools and numpy integers are integers; the report carries them as int,
+    # so the document prints 1, not true
+    rep = run_epr_measure(0.0, 0.0, shots=True, seed=np.int64(2))
+    assert type(rep.parameters["shots"]) is int and rep.parameters["shots"] == 1
+    assert type(rep.seed) is int and rep.seed == 2
+    text = serialize_document(report_document(rep))
+    assert '"shots": 1, "chunk_size": null' in text and '"shots": true' not in text
+    scan = run_chsh(scan_points=np.int32(3), seed=np.uint8(4))
+    assert type(scan.parameters["scan_points"]) is int and scan.chsh["scan"]["points"] == 3
+    assert type(scan.seed) is int and scan.chsh["scan"]["seed"] == 4
+    # the seed defaults to 0 whether or not anything is drawn
+    assert run_epr_measure(0.0, 0.0).seed == 0
+    assert run_chsh().seed == 0
 
 
 def test_diagram_bundle_of_traces_out_uncovered_factors():
