@@ -20,12 +20,14 @@ from .states import axis_angle, basis_rotation, epr_singlet
 
 CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
-# Most shots one sample_records call accepts: 1 GB of records, about 40 s
-# of drawing.  Larger counts fail up front instead of risking the OOM killer.
+# Most shots one sample_records call accepts: 1 GB of records, about 60 s
+# of drawing at the ~60 ns per shot measured on a 2-vCPU host.  Larger
+# counts fail up front instead of risking the OOM killer.
 MAX_SHOTS = 10**9
-# Shots drawn, or counted, per numpy call: about 1 MB of float64 uniforms
-# plus int64 indices, so temporaries stay flat in the number of shots.
-_DRAW_BLOCK = 65_536
+# Shots drawn, or counted, per numpy call: one block of the stream's lanes,
+# 64 kB of float64 uniforms and int64 indices, so temporaries stay flat in
+# the number of shots.
+_DRAW_BLOCK = 4_096
 
 
 @dataclass(frozen=True)
@@ -140,12 +142,15 @@ def sample_records(post: PureState, setup: MeasurementSetup, shots: int, seed: i
     shot for up to eight devices.
 
     Each shot inverts the cumulative distribution at a uniform from the
-    first child of SeedSequence(seed).  That is the algorithm of
-    Generator.choice with probabilities, written out so the outcomes
-    depend only on (seed, shots) and Generator.random.  The uniforms come
-    in blocks of _DRAW_BLOCK; consecutive random calls continue one
-    stream, so the blocks match one call over all the shots.
+    stream of the first child of SeedSequence(seed), spawn key (0,).
+    That is the algorithm of Generator.choice with probabilities, written
+    out on the package's own copy of Generator.random, so the outcomes
+    depend only on (seed, shots).  The uniforms come in blocks of
+    _DRAW_BLOCK; consecutive random calls continue one stream, so the
+    blocks match one call over all the shots.
     """
+    from ._pcg64 import Stream
+
     shots = _count("shots", shots, least=1)
     seed = _count("seed", seed)
     if shots > MAX_SHOTS:
@@ -157,7 +162,7 @@ def sample_records(post: PureState, setup: MeasurementSetup, shots: int, seed: i
         outcomes = np.empty(shots, dtype=np.min_scalar_type(len(p) - 1))
     except MemoryError:
         raise ValidationError(f"{shots} shots are too many to hold in memory") from None
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    rng = Stream(seed, spawn_key=(0,))
     for lo in range(0, shots, _DRAW_BLOCK):
         hi = min(lo + _DRAW_BLOCK, shots)
         outcomes[lo:hi] = cdf.searchsorted(rng.random(hi - lo), side="right")

@@ -29,7 +29,7 @@ from .measurement import (
     sample_records,
 )
 from .report import SCENARIO_IDS
-from .states import cat_chain, epr_singlet
+from .states import _angle, cat_chain, epr_singlet
 
 CAT_GROUPINGS = ("atom", "atom_gamma")
 CANONICAL_CHSH_ANGLES = (0.0, math.pi / 2.0, math.pi / 4.0, 3.0 * math.pi / 4.0)
@@ -40,10 +40,10 @@ ORTHODOX_WARNING = (
     "the same particle at once; no five-variable classical model supports both"
 )
 _ORTHODOX_MATCH_TOL = 1e-6
-# Scan quadruples drawn and evaluated per block: about 1.2 MB of angles,
-# observables and correlators, flat in N.
-_SCAN_BLOCK = 4_096
-# Longest accepted scan: about 3 minutes at the ~1.7 us per point measured
+# Scan quadruples drawn and evaluated per block: one block of the stream's
+# lanes, about 0.3 MB of angles, observables and correlators, flat in N.
+_SCAN_BLOCK = 1_024
+# Longest accepted scan: about 3.5 minutes at the ~2.1 us per point measured
 # on a 2-vCPU host.  Without a cap a mistyped N runs for years.
 MAX_SCAN_POINTS = 10**8
 
@@ -238,9 +238,13 @@ def run_chsh(
         raise ValidationError(f"scan points must be <= {MAX_SCAN_POINTS}, got {scan_points}")
     if angles is None:
         angles = CANONICAL_CHSH_ANGLES
-    angles = tuple(float(a) for a in angles)
+    try:
+        angles = tuple(angles)
+    except TypeError:
+        raise ValidationError(f"chsh needs 4 angles, got {angles!r}") from None
     if len(angles) != 4:
         raise ValidationError(f"chsh needs 4 angles, got {len(angles)}")
+    angles = tuple(_angle(a, "chsh angle") for a in angles)
     value = float(chsh_values([angles])[0])
     block = {
         "angles": angles,
@@ -251,12 +255,16 @@ def run_chsh(
         "violates_classical": abs(value) > CLASSICAL_BOUND + 1e-9,
     }
     if scan_points > 0:
-        rng = np.random.default_rng(seed)
+        from ._pcg64 import Stream
+
+        rng = Stream(seed)
         best = 0.0
-        # consecutive uniform calls continue one stream, so blocking leaves
-        # the draws, and hence the maximum, as a single call would give them
+        # consecutive random calls continue one stream, so blocking leaves
+        # the draws, and hence the maximum, as a single call would give
+        # them; 2 pi * u has the bits of Generator.uniform(0, 2 pi)
         for start in range(0, scan_points, _SCAN_BLOCK):
-            quads = rng.uniform(0.0, 2.0 * math.pi, size=(min(_SCAN_BLOCK, scan_points - start), 4))
+            m = min(_SCAN_BLOCK, scan_points - start)
+            quads = 2.0 * math.pi * rng.random(4 * m).reshape(m, 4)
             best = max(best, float(np.max(np.abs(chsh_values(quads)))))
         block["scan"] = {
             "points": scan_points,

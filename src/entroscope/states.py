@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -15,6 +16,17 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
+def _angle(value, what: str) -> float:
+    """value as a float, refused unless it is a finite real number: a
+    string, None or a complex number is not an angle."""
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} must be a real number, got {value!r}")
+    t = float(value)
+    if not math.isfinite(t):
+        raise ValidationError(f"{what} must be finite, got {t!r}")
+    return t
+
+
 def axis_angle(theta) -> float:
     """A measurement direction in the z-x plane, measured from z, as its
     axis in [0, pi).
@@ -22,10 +34,7 @@ def axis_angle(theta) -> float:
     theta and theta + pi share the same axis, only the outcome labels
     swap, so the axis is the canonical representative.
     """
-    t = float(theta)
-    if not math.isfinite(t):
-        raise ValidationError(f"angle must be finite, got {t!r}")
-    return t % math.pi
+    return _angle(theta, "angle") % math.pi
 
 
 def spin_observable(theta: float) -> np.ndarray:

@@ -16,7 +16,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from entroscope import (
-    DensityOperator, PureState, cli, epr_singlet, ghz, measurement, random_density, scenarios,
+    DensityOperator, PureState, _pcg64, cli, epr_singlet, ghz, measurement, random_density, scenarios,
 )
 from entroscope.cli import main
 from entroscope.measurement import MAX_SHOTS
@@ -230,7 +230,7 @@ def test_shots_over_the_cap_exit_2_before_drawing(capsys, monkeypatch, fmt):
     def no_draw(*args, **kwargs):
         raise AssertionError("drawing started")
 
-    monkeypatch.setattr(np.random, "SeedSequence", no_draw)
+    monkeypatch.setattr(_pcg64, "Stream", no_draw)
     shots = MAX_SHOTS + 1
     code, out, err = run_main(capsys, "scenario", "epr_measure", "--theta1", "z",
                               "--theta2", "x", "--shots", str(shots), "--format", fmt)
@@ -655,7 +655,7 @@ def test_fuzz_epr_measure_flags(t1, t2, joined, shots, seed):
         argv += ["--seed", str(seed)]
     # past the cap nothing may be drawn
     big = shots is not None and shots > MAX_SHOTS
-    with mock.patch.object(np.random, "SeedSequence", _fail) if big else nullcontext():
+    with mock.patch.object(_pcg64, "Stream", _fail) if big else nullcontext():
         code = _same_in_both_formats(argv)
     if big or (seed is not None and seed < 0) or (shots is not None and shots < 0):
         assert code == 2

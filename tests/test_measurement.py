@@ -27,7 +27,7 @@ from entroscope import (
     ternary_center,
     venn_atoms,
 )
-from entroscope import linalg, measurement, scenarios
+from entroscope import _pcg64, linalg, measurement, scenarios
 from entroscope.linalg import partial_trace
 from entroscope.measurement import CLASSICAL_BOUND, MAX_SHOTS, TSIRELSON_BOUND
 
@@ -304,9 +304,34 @@ def test_sample_records_over_the_cap_fails_before_drawing(monkeypatch):
         raise AssertionError("drawing started")
 
     post = premeasure(epr_singlet(), parallel_setup())
-    monkeypatch.setattr(np.random, "SeedSequence", no_draw)
+    monkeypatch.setattr(_pcg64, "Stream", no_draw)
     with pytest.raises(ValidationError, match=f"^{MAX_SHOTS + 1} shots are too many to hold in memory$"):
         sample_records(post, parallel_setup(), shots=MAX_SHOTS + 1, seed=0)
+
+
+_STREAM_SEEDS = st.integers(0, 2**128) | st.just(10**4299)  # the CLI's 4,300-digit limit
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_STREAM_SEEDS, spawn_key=st.sampled_from([(), (0,)]),
+       sizes=st.lists(st.integers(1, 3 * _pcg64._LANES), min_size=1, max_size=4))
+def test_stream_equals_numpy_generator_random(seed, spawn_key, sizes):
+    # numpy's SeedSequence, PCG64 and Generator.random are the oracle; each
+    # request continues the stream, across lane blocks and partial blocks
+    seq = np.random.SeedSequence(seed, spawn_key=spawn_key)
+    assert _pcg64.seed_state(seed, spawn_key) == seq.generate_state(4, np.uint64).tolist()
+    ours, theirs = _pcg64.Stream(seed, spawn_key), np.random.default_rng(seq)
+    for n in sizes:
+        assert np.array_equal(ours.random(n).view(np.uint64), theirs.random(n).view(np.uint64))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=_STREAM_SEEDS, quads=st.integers(1, 3 * _pcg64._LANES // 4))
+def test_scan_angles_equal_generator_uniform(seed, quads):
+    # run_chsh scales the stream's uniforms by 2 pi, as Generator.uniform does
+    ours = 2.0 * math.pi * _pcg64.Stream(seed).random(4 * quads).reshape(quads, 4)
+    theirs = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=(quads, 4))
+    assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
 
 
 def test_correlator_analytic():

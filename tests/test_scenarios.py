@@ -22,7 +22,7 @@ from entroscope import (
     run_scenario,
     sample_records,
 )
-from entroscope import scenarios
+from entroscope import _pcg64, scenarios
 from entroscope.entropy import PartitionSpec
 from entroscope.measurement import (
     TSIRELSON_BOUND,
@@ -223,6 +223,48 @@ def test_chsh_validates_angle_count():
         run_chsh(angles=(0.0, 1.0, 2.0))
 
 
+@pytest.mark.parametrize("angles, message", [
+    (("a", 1, 2, 3), "chsh angle must be a real number, got 'a'"),
+    (5, "chsh needs 4 angles, got 5"),
+    ((math.nan, 0, 0, 0), "chsh angle must be finite, got nan"),
+    ((0, 0, math.inf, 0), "chsh angle must be finite, got inf"),
+    ((0, "0.5", 0, 0), "chsh angle must be a real number, got '0.5'"),
+    ((0, 0, None, 0), "chsh angle must be a real number, got None"),
+    ((0, 0, 0, 1j), "chsh angle must be a real number, got 1j"),
+], ids=["string", "not-a-sequence", "nan", "inf", "numeric-string", "none", "complex"])
+def test_chsh_refuses_bad_angles_before_evaluating(monkeypatch, angles, message):
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluation started")
+
+    monkeypatch.setattr(scenarios, "chsh_values", no_evaluation)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        run_chsh(angles=angles)
+
+
+def test_chsh_takes_numpy_angles_and_reports_floats():
+    rep = run_chsh(angles=np.array(scenarios.CANONICAL_CHSH_ANGLES, np.float32))
+    assert all(type(a) is float for a in rep.chsh["angles"])
+    assert run_chsh(angles=(np.int64(0), True, 0.5, np.float64(2))).chsh["angles"] == (0.0, 1.0, 0.5, 2.0)
+
+
+@pytest.mark.parametrize("value, message", [
+    ("x", "angle must be a real number, got 'x'"),
+    ("0.5", "angle must be a real number, got '0.5'"),
+    (None, "angle must be a real number, got None"),
+    (1 + 0j, "angle must be a real number, got (1+0j)"),
+    (math.nan, "angle must be finite, got nan"),
+    (-math.inf, "angle must be finite, got -inf"),
+], ids=["string", "numeric-string", "none", "complex", "nan", "inf"])
+def test_device_angles_are_finite_real_numbers(value, message):
+    pattern = f"^{re.escape(message)}$"
+    with pytest.raises(ValidationError, match=pattern):
+        MeasurementSetup.of((0, value, "A"))
+    with pytest.raises(ValidationError, match=pattern):
+        run_epr_measure(value, 0.0)
+    with pytest.raises(ValidationError, match=pattern):
+        run_epr_measure(0.0, value, shots=10)
+
+
 def test_run_scenario_dispatch():
     assert run_scenario("epr_pair").scenario == "epr_pair"
     rep = run_scenario("epr_measure", theta1=0.0, theta2=0.0)
@@ -315,13 +357,13 @@ def _sample(**kwargs):
 def test_runners_check_their_own_inputs(monkeypatch, runner, kwargs, message):
     # library callers who skip the CLI get the checks it relies on, before
     # anything is sampled or scanned: a fraction is refused, not truncated,
-    # and no value reaches numpy's seeding, whose errors are not
-    # ValidationError and whose None means OS entropy
+    # and no value reaches the random stream, whose seeding reads only
+    # non-negative Python ints
     def no_draw(*args, **kwargs):
         raise AssertionError("drawing started")
 
-    for owner, name in ((np.random, "default_rng"), (np.random, "SeedSequence"),
-                        (scenarios, "chsh_values"), (scenarios, "sample_records")):
+    for owner, name in ((_pcg64, "Stream"), (scenarios, "chsh_values"),
+                        (scenarios, "sample_records")):
         monkeypatch.setattr(owner, name, no_draw)
     args = (0.0, 0.0) if runner is run_epr_measure else ()
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):

@@ -46,6 +46,26 @@ def test_state_commands_leave_the_scenario_modules_unloaded(command):
     assert res.stderr == "0 []\n"
 
 
+@pytest.mark.parametrize("argv, stream", [
+    (["scenario", "epr_measure", "--theta1", "0.3", "--theta2", "2", "--shots", "1000", "--seed", "3"], True),
+    (["chsh", "--scan", "100", "--seed", "3"], True),
+    (["scenario", "epr_measure", "--theta1", "0.3", "--theta2", "2"], False),
+])
+def test_sampled_commands_leave_numpy_random_unloaded(argv, stream):
+    # the package draws from its own stream, so no CLI process pays for
+    # numpy.random and the hashing and OpenSSL modules it imports
+    code = (
+        "import sys\n"
+        "from entroscope import cli\n"
+        f"rc = cli.main({argv!r})\n"
+        "mods = ('numpy.random', 'secrets', '_hashlib')\n"
+        "print(rc, 'entroscope._pcg64' in sys.modules, [m for m in mods if m in sys.modules],\n"
+        "      file=sys.stderr)\n"
+    )
+    res = _python_text("-c", code)
+    assert res.stderr == f"0 {stream} []\n"
+
+
 @pytest.mark.parametrize("name", [
     "diagram_pure6.json",
     "audit_density6.table",

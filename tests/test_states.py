@@ -91,8 +91,8 @@ def test_axis_angle_normalization():
         axis_angle(float("inf"))
 
 
-def test_axis_angle_takes_what_float_takes_and_returns_a_float():
-    for value in (1, np.float32(0.5), "0.25", -4.0):
+def test_axis_angle_takes_real_numbers_and_returns_a_float():
+    for value in (1, np.float32(0.5), np.float64(0.25), np.int64(3), -4.0):
         t = axis_angle(value)
         assert type(t) is float and 0.0 <= t < math.pi
         assert t == float(value) % math.pi
