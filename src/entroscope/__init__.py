@@ -40,7 +40,7 @@ _MODULE_OF = {
     ), "scenarios"),
     **dict.fromkeys((
         "load_state", "render_report_table", "report_document",
-        "serialize_document", "serialize_state", "state_document",
+        "serialize_document", "serialize_state",
     ), "report"),
 }
 

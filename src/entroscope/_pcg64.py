@@ -1,11 +1,12 @@
 """The one random stream the package draws from, owned and bit-exact.
 
-Stream(entropy, spawn_key).random(n) gives the uniforms of
+uniforms(entropy, n, spawn_key) yields the uniforms of
 numpy.random.Generator(PCG64(SeedSequence(entropy, spawn_key=spawn_key)))
 .random(n), bit for bit, without importing numpy.random.  The seeding
 runs on Python ints.  The draw keeps _LANES consecutive 128-bit PCG
 states as (hi, lo) uint64 arrays and advances them all by one jump per
-block; array arithmetic wraps without a warning.
+block; array arithmetic wraps without a warning.  _LANES is the one block
+size of the package: draws, counts and scans all go one block at a time.
 """
 
 from __future__ import annotations
@@ -68,41 +69,29 @@ def _affine(hi: np.ndarray, lo: np.ndarray, mult: int, add: int):
     return top + (add >> 64) + (low < (add & _M64)), low
 
 
-class Stream:
-    """Generator(PCG64(SeedSequence(entropy, spawn_key))).random, owned."""
+def _uniforms(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Each lane's XSL-RR output, as a uniform from its top 53 bits; its
+    temporaries are freed before the block reaches the caller."""
+    x, rot = hi ^ lo, hi >> 58
+    return (((x >> rot) | (x << ((64 - rot) & 63))) >> 11) * 2.0**-53
 
-    def __init__(self, entropy: int, spawn_key: tuple[int, ...] = ()):
-        s0, s1, s2, s3 = seed_state(entropy, spawn_key)
-        inc = (s2 << 65 | s3 << 1 | 1) & _M128
-        # PCG's srandom (step from 0, add the initial state, step again),
-        # then the step that precedes each output
-        first = (((inc + (s0 << 64 | s1)) * _MULT + inc) * _MULT + inc) & _M128
-        # lane k holds the state k + 1 steps on; each doubling appends the
-        # lanes jumped by their count, and (mult, add) becomes the jump by 2x
-        self._hi = np.array([first >> 64], np.uint64)
-        self._lo = np.array([first & _M64], np.uint64)
-        mult, add = _MULT, inc
-        while len(self._hi) < _LANES:
-            hi, lo = _affine(self._hi, self._lo, mult, add)
-            self._hi, self._lo = np.concatenate([self._hi, hi]), np.concatenate([self._lo, lo])
-            mult, add = mult * mult & _M128, (mult * add + add) & _M128
-        self._jump = (mult, add)
-        self._spare = np.empty(0)
 
-    def _block(self) -> np.ndarray:
-        """The next _LANES uniforms: each lane's XSL-RR output, top 53 bits."""
-        hi, lo = self._hi, self._lo
-        x, rot = hi ^ lo, hi >> 58
-        out = (x >> rot) | (x << ((64 - rot) & 63))
-        self._hi, self._lo = _affine(hi, lo, *self._jump)
-        return (out >> 11) * 2.0**-53
-
-    def random(self, n: int) -> np.ndarray:
-        """The next n uniforms in [0, 1); consecutive calls continue the stream."""
-        parts, have = [self._spare], len(self._spare)
-        while have < n:
-            parts.append(self._block())
-            have += _LANES
-        out = np.concatenate(parts)
-        self._spare = out[n:].copy()
-        return out[:n]
+def uniforms(entropy: int, n: int, spawn_key: tuple[int, ...] = ()):
+    """The first n uniforms of Generator(PCG64(SeedSequence(entropy,
+    spawn_key))).random, in [0, 1), as blocks of _LANES, the last cut short."""
+    s0, s1, s2, s3 = seed_state(entropy, spawn_key)
+    inc = (s2 << 65 | s3 << 1 | 1) & _M128
+    # PCG's srandom (step from 0, add the initial state, step again),
+    # then the step that precedes each output
+    first = (((inc + (s0 << 64 | s1)) * _MULT + inc) * _MULT + inc) & _M128
+    # lane k holds the state k + 1 steps on; each doubling appends the
+    # lanes jumped by their count, and (mult, add) becomes the jump by 2x
+    hi, lo = np.array([first >> 64], np.uint64), np.array([first & _M64], np.uint64)
+    mult, add = _MULT, inc
+    while len(hi) < _LANES:
+        h, l = _affine(hi, lo, mult, add)
+        hi, lo = np.concatenate([hi, h]), np.concatenate([lo, l])
+        mult, add = mult * mult & _M128, (mult * add + add) & _M128
+    for start in range(0, n, _LANES):
+        yield _uniforms(hi, lo)[: n - start]
+        hi, lo = _affine(hi, lo, mult, add)

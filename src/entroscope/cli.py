@@ -15,6 +15,7 @@ import sys
 from .entropy import DiagramBundle, PartitionSpec
 from .errors import NumericalFaultError, ValidationError
 from .report import (
+    CAT_GROUPINGS,
     SCENARIO_IDS,
     diagram_document,
     load_state,
@@ -139,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--theta2", type=parse_angle, help="second device angle (radians, or z|x)")
     sc.add_argument("--shots", type=int, help="sample this many shots (default 0 = exact only)")
     sc.add_argument("--seed", type=int, default=None, help=f"sampling seed (default {SEED_ENV_VAR} or 0)")
-    sc.add_argument("--grouping", choices=("atom", "atom_gamma"),
+    sc.add_argument("--grouping", choices=CAT_GROUPINGS,
                     help="which factors form the atomic party in the cat scenario (default atom_gamma)")
     sc.add_argument("--observer", action="store_true", default=None, dest="with_observer",
                     help="include the observer factor (cat scenario)")

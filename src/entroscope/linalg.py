@@ -46,8 +46,13 @@ def _check_finite(a: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} has NaN or infinite entries")
 
 
-def _hermitian_deviation(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T)))
+def _check_hermitian(m: np.ndarray, what: str) -> None:
+    """Refuse a square m with a non-finite entry, or further than
+    HERMITIAN_TOL from its conjugate transpose."""
+    _check_finite(m, what)
+    dev = float(np.max(np.abs(m - m.conj().T)))
+    if dev > HERMITIAN_TOL:
+        raise ValidationError(f"hermitian check failed: max deviation {dev:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,10 +119,7 @@ class DensityOperator:
                 f"matrix dimension {mat.shape[0]} does not match factor dims "
                 f"{list(dims)} (product {d})"
             )
-        _check_finite(mat, "density matrix")
-        dev = _hermitian_deviation(mat)
-        if dev > HERMITIAN_TOL:
-            raise ValidationError(f"hermitian check failed: max deviation {dev:.3e}")
+        _check_hermitian(mat, "density matrix")
         tr = complex(np.trace(mat))
         if not abs(tr - 1.0) <= TRACE_TOL:  # a trace summed to nan fails too
             raise ValidationError(f"trace = {tr.real:.6g} != 1 (tolerance {TRACE_TOL})")
@@ -172,10 +174,7 @@ def hermitian_eig(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    _check_finite(a, "matrix")
-    dev = _hermitian_deviation(a)
-    if dev > HERMITIAN_TOL:
-        raise ValidationError(f"hermitian check failed: max deviation {dev:.3e}")
+    _check_hermitian(a, "matrix")
     try:
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:

@@ -24,10 +24,6 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 # of drawing at the ~60 ns per shot measured on a 2-vCPU host.  Larger
 # counts fail up front instead of risking the OOM killer.
 MAX_SHOTS = 10**9
-# Shots drawn, or counted, per numpy call: one block of the stream's lanes,
-# 64 kB of float64 uniforms and int64 indices, so temporaries stay flat in
-# the number of shots.
-_DRAW_BLOCK = 4_096
 
 
 @dataclass(frozen=True)
@@ -145,11 +141,10 @@ def sample_records(post: PureState, setup: MeasurementSetup, shots: int, seed: i
     stream of the first child of SeedSequence(seed), spawn key (0,).
     That is the algorithm of Generator.choice with probabilities, written
     out on the package's own copy of Generator.random, so the outcomes
-    depend only on (seed, shots).  The uniforms come in blocks of
-    _DRAW_BLOCK; consecutive random calls continue one stream, so the
-    blocks match one call over all the shots.
+    depend only on (seed, shots).  The uniforms come one block of lanes
+    at a time, so temporaries stay flat in the number of shots.
     """
-    from ._pcg64 import Stream
+    from ._pcg64 import uniforms
 
     shots = _count("shots", shots, least=1)
     seed = _count("seed", seed)
@@ -162,10 +157,10 @@ def sample_records(post: PureState, setup: MeasurementSetup, shots: int, seed: i
         outcomes = np.empty(shots, dtype=np.min_scalar_type(len(p) - 1))
     except MemoryError:
         raise ValidationError(f"{shots} shots are too many to hold in memory") from None
-    rng = Stream(seed, spawn_key=(0,))
-    for lo in range(0, shots, _DRAW_BLOCK):
-        hi = min(lo + _DRAW_BLOCK, shots)
-        outcomes[lo:hi] = cdf.searchsorted(rng.random(hi - lo), side="right")
+    lo = 0
+    for u in uniforms(seed, shots, spawn_key=(0,)):
+        outcomes[lo : lo + len(u)] = cdf.searchsorted(u, side="right")
+        lo += len(u)
     return outcomes
 
 

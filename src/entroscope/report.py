@@ -25,10 +25,12 @@ if TYPE_CHECKING:  # annotations only: diagram and audit never load scenarios
     from .scenarios import DiagramReport
 
 SCHEMA_VERSION = "1.0.0"
-# The scenario ids run_scenario dispatches on.  Unused here: they live in
-# this module only because the CLI parser needs them and diagram and audit,
-# which load report, must not load scenarios.
+# The scenario ids run_scenario dispatches on, and the cat scenario's
+# groupings.  Unused here: they live in this module only because the CLI
+# parser needs them and diagram and audit, which load report, must not load
+# scenarios.
 SCENARIO_IDS = ("epr_pair", "epr_measure", "cat", "chsh")
+CAT_GROUPINGS = ("atom", "atom_gamma")
 # Largest total dimension a state file may declare: every route to a diagram
 # builds the dense 2**12 x 2**12 density matrix (256 MB) at this size.
 MAX_DENSE_DIM = 2**12
@@ -220,29 +222,21 @@ def load_state(path) -> PureState | DensityOperator:
     return rho
 
 
-def state_document(state: PureState | DensityOperator) -> dict:
-    """The JSON form load_state reads, for writing states out."""
-    if isinstance(state, PureState):
-        flat = state.amplitudes
-        kind = "pure"
-    else:
-        flat = state.matrix.reshape(-1)
-        kind = "density"
-    return {
-        "kind": kind,
-        "dims": list(state.dims),
-        "data": [[float(z.real), float(z.imag)] for z in flat],
-    }
-
-
 def serialize_state(state: PureState | DensityOperator) -> str:
-    """Full-precision JSON for a state file.
+    """Full-precision JSON for a state file, in the form load_state reads.
 
     Report documents round to 9 fractional digits; state files must
     round-trip through load_state within 1e-12, so they keep the full
     float repr instead.
     """
-    return json.dumps(state_document(state)) + "\n"
+    pure = isinstance(state, PureState)
+    flat = state.amplitudes if pure else state.matrix.reshape(-1)
+    doc = {
+        "kind": "pure" if pure else "density",
+        "dims": list(state.dims),
+        "data": [[float(z.real), float(z.imag)] for z in flat],
+    }
+    return json.dumps(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------

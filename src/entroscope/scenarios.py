@@ -20,7 +20,6 @@ from .measurement import (
     CLASSICAL_BOUND,
     TSIRELSON_BOUND,
     MeasurementSetup,
-    _DRAW_BLOCK,
     _count,
     chsh_values,
     device_partition,
@@ -28,10 +27,9 @@ from .measurement import (
     premeasure,
     sample_records,
 )
-from .report import SCENARIO_IDS
+from .report import CAT_GROUPINGS, SCENARIO_IDS
 from .states import _angle, cat_chain, epr_singlet
 
-CAT_GROUPINGS = ("atom", "atom_gamma")
 CANONICAL_CHSH_ANGLES = (0.0, math.pi / 2.0, math.pi / 4.0, 3.0 * math.pi / 4.0)
 
 ORTHODOX_LABEL = "orthodox expectation — not derivable from any joint state"
@@ -40,9 +38,6 @@ ORTHODOX_WARNING = (
     "the same particle at once; no five-variable classical model supports both"
 )
 _ORTHODOX_MATCH_TOL = 1e-6
-# Scan quadruples drawn and evaluated per block: one block of the stream's
-# lanes, about 0.3 MB of angles, observables and correlators, flat in N.
-_SCAN_BLOCK = 1_024
 # Longest accepted scan: about 3.5 minutes at the ~2.1 us per point measured
 # on a 2-vCPU host.  Without a cap a mistyped N runs for years.
 MAX_SCAN_POINTS = 10**8
@@ -124,12 +119,14 @@ def orthodox_reference(case: str) -> dict:
 
 def _sampled_block(post, setup, shots: int, seed: int, exact_mutual: float) -> dict:
     """Sampled statistics of run_epr_measure's two devices."""
+    from ._pcg64 import _LANES
+
     outcomes = sample_records(post, setup, shots=shots, seed=seed)
     labels = setup.device_labels
     # bincount widens its input to intp, so it counts one block at a time
     tally = np.zeros(4, dtype=np.intp)
-    for lo in range(0, shots, _DRAW_BLOCK):
-        tally += np.bincount(outcomes[lo : lo + _DRAW_BLOCK], minlength=4)
+    for lo in range(0, shots, _LANES):
+        tally += np.bincount(outcomes[lo : lo + _LANES], minlength=4)
     counts = {format(i, "02b"): int(n) for i, n in enumerate(tally)}
     freqs = {k: v / shots for k, v in counts.items()}
     joint_p = np.array(list(freqs.values()))
@@ -198,7 +195,9 @@ def run_cat(with_observer: bool = False, grouping: str = "atom_gamma") -> Diagra
     reduced cat-observer diagram; without one, the two-party
     atomic-vs-cat diagram.
     """
-    if grouping not in CAT_GROUPINGS:
+    if not isinstance(with_observer, (bool, np.bool_)):
+        raise ValidationError(f"with_observer must be a bool, got {with_observer!r}")
+    if not isinstance(grouping, str) or grouping not in CAT_GROUPINGS:
         raise ValidationError(
             f"grouping must be one of {list(CAT_GROUPINGS)}, got {grouping!r}"
         )
@@ -255,16 +254,14 @@ def run_chsh(
         "violates_classical": abs(value) > CLASSICAL_BOUND + 1e-9,
     }
     if scan_points > 0:
-        from ._pcg64 import Stream
+        from ._pcg64 import uniforms
 
-        rng = Stream(seed)
         best = 0.0
-        # consecutive random calls continue one stream, so blocking leaves
-        # the draws, and hence the maximum, as a single call would give
-        # them; 2 pi * u has the bits of Generator.uniform(0, 2 pi)
-        for start in range(0, scan_points, _SCAN_BLOCK):
-            m = min(_SCAN_BLOCK, scan_points - start)
-            quads = 2.0 * math.pi * rng.random(4 * m).reshape(m, 4)
+        # one block of lanes holds a whole number of quadruples, so angles,
+        # observables and correlators stay flat in N; 2 pi * u has the bits
+        # of Generator.uniform(0, 2 pi)
+        for u in uniforms(seed, 4 * scan_points):
+            quads = 2.0 * math.pi * u.reshape(-1, 4)
             best = max(best, float(np.max(np.abs(chsh_values(quads)))))
         block["scan"] = {
             "points": scan_points,

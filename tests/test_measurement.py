@@ -27,7 +27,7 @@ from entroscope import (
     ternary_center,
     venn_atoms,
 )
-from entroscope import _pcg64, linalg, measurement, scenarios
+from entroscope import _pcg64, linalg, scenarios
 from entroscope.linalg import partial_trace
 from entroscope.measurement import CLASSICAL_BOUND, MAX_SHOTS, TSIRELSON_BOUND
 
@@ -269,15 +269,14 @@ def test_sample_records_frequencies_converge():
     shots=st.integers(1, 5000),
     seed=st.integers(0, 2**63 - 1),
     angles=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
-    block=st.integers(1, 64) | st.just(measurement._DRAW_BLOCK),
+    lanes=st.sampled_from([2**k for k in range(7)]) | st.just(_pcg64._LANES),
 )
-def test_sample_records_match_per_shot_loop(shots, seed, angles, block):
-    # a small block splits the shots into many random and bincount calls;
-    # the loop oracle draws them all in one Generator.choice call
+def test_sample_records_match_per_shot_loop(shots, seed, angles, lanes):
+    # few lanes split the shots into many blocks of draws and of bincount
+    # calls; the loop oracle draws them all in one Generator.choice call
     setup = MeasurementSetup.of((0, angles[0], "A1"), (1, angles[1], "A2"))
     post = premeasure(epr_singlet(), setup)
-    with mock.patch.object(measurement, "_DRAW_BLOCK", block), \
-            mock.patch.object(scenarios, "_DRAW_BLOCK", block):
+    with mock.patch.object(_pcg64, "_LANES", lanes):
         records = sample_records(post, setup, shots=shots, seed=seed)
         sampled = scenarios._sampled_block(post, setup, shots, seed, exact_mutual=0.0)
     loop = helpers.sample_records_loop(post, setup, shots=shots, seed=seed)
@@ -304,7 +303,7 @@ def test_sample_records_over_the_cap_fails_before_drawing(monkeypatch):
         raise AssertionError("drawing started")
 
     post = premeasure(epr_singlet(), parallel_setup())
-    monkeypatch.setattr(_pcg64, "Stream", no_draw)
+    monkeypatch.setattr(_pcg64, "uniforms", no_draw)
     with pytest.raises(ValidationError, match=f"^{MAX_SHOTS + 1} shots are too many to hold in memory$"):
         sample_records(post, parallel_setup(), shots=MAX_SHOTS + 1, seed=0)
 
@@ -314,22 +313,23 @@ _STREAM_SEEDS = st.integers(0, 2**128) | st.just(10**4299)  # the CLI's 4,300-di
 
 @settings(max_examples=40, deadline=None)
 @given(seed=_STREAM_SEEDS, spawn_key=st.sampled_from([(), (0,)]),
-       sizes=st.lists(st.integers(1, 3 * _pcg64._LANES), min_size=1, max_size=4))
-def test_stream_equals_numpy_generator_random(seed, spawn_key, sizes):
-    # numpy's SeedSequence, PCG64 and Generator.random are the oracle; each
-    # request continues the stream, across lane blocks and partial blocks
+       n=st.integers(1, 3 * _pcg64._LANES) | st.sampled_from([_pcg64._LANES, 3 * _pcg64._LANES]))
+def test_stream_equals_numpy_generator_random(seed, spawn_key, n):
+    # numpy's SeedSequence, PCG64 and Generator.random are the oracle; the
+    # blocks are whole lanes but the last, and together they are one stream
     seq = np.random.SeedSequence(seed, spawn_key=spawn_key)
     assert _pcg64.seed_state(seed, spawn_key) == seq.generate_state(4, np.uint64).tolist()
-    ours, theirs = _pcg64.Stream(seed, spawn_key), np.random.default_rng(seq)
-    for n in sizes:
-        assert np.array_equal(ours.random(n).view(np.uint64), theirs.random(n).view(np.uint64))
+    blocks = list(_pcg64.uniforms(seed, n, spawn_key))
+    assert [len(b) for b in blocks] == [min(_pcg64._LANES, n - lo) for lo in range(0, n, _pcg64._LANES)]
+    theirs = np.random.default_rng(seq).random(n)
+    assert np.array_equal(np.concatenate(blocks).view(np.uint64), theirs.view(np.uint64))
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=_STREAM_SEEDS, quads=st.integers(1, 3 * _pcg64._LANES // 4))
 def test_scan_angles_equal_generator_uniform(seed, quads):
     # run_chsh scales the stream's uniforms by 2 pi, as Generator.uniform does
-    ours = 2.0 * math.pi * _pcg64.Stream(seed).random(4 * quads).reshape(quads, 4)
+    ours = 2.0 * math.pi * np.concatenate(list(_pcg64.uniforms(seed, 4 * quads))).reshape(quads, 4)
     theirs = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=(quads, 4))
     assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
 

@@ -24,7 +24,6 @@ from entroscope.report import (
     report_document,
     serialize_document,
     serialize_state,
-    state_document,
 )
 
 EPR_PARTITION = PartitionSpec.of(L=[0], R=[1])
@@ -111,7 +110,7 @@ def test_state_file_round_trip(tmp_path):
 
 
 def test_state_document_shape():
-    doc = state_document(epr_singlet())
+    doc = json.loads(serialize_state(epr_singlet()))
     assert doc["kind"] == "pure"
     assert doc["dims"] == [2, 2]
     assert len(doc["data"]) == 4

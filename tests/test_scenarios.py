@@ -180,9 +180,31 @@ def test_cat_without_observer(grouping):
     assert rep.diagram.center is None and rep.reduced is None
 
 
-def test_cat_rejects_unknown_grouping():
-    with pytest.raises(ValidationError, match="grouping"):
-        run_cat(with_observer=True, grouping="observer")
+@pytest.mark.parametrize("grouping", ["observer", ["atom"], np.array(["atom"]), np.array(["atom", "x"])],
+                         ids=["unknown", "list", "one-string-array", "two-string-array"])
+def test_cat_rejects_unknown_grouping(grouping):
+    # an array is compared elementwise: one element passed for its string,
+    # two raised numpy's ambiguous-truth ValueError
+    with pytest.raises(ValidationError, match="^grouping must be one of "):
+        run_cat(with_observer=True, grouping=grouping)
+
+
+@pytest.mark.parametrize("with_observer", ["no", 2, np.array([1, 0]), None, 1.0],
+                         ids=["string", "int", "array", "none", "float"])
+def test_cat_refuses_a_non_bool_observer_before_building(monkeypatch, with_observer):
+    def no_state(*args, **kwargs):
+        raise AssertionError("state built")
+
+    monkeypatch.setattr(scenarios, "cat_chain", no_state)
+    with pytest.raises(ValidationError, match=f"^with_observer must be a bool, got {re.escape(repr(with_observer))}$"):
+        run_cat(with_observer=with_observer)
+
+
+@pytest.mark.parametrize("with_observer", [True, False, np.True_, np.False_])
+def test_cat_takes_bools_and_numpy_bools(with_observer):
+    rep = run_cat(with_observer=with_observer)
+    assert rep.parameters["with_observer"] is bool(with_observer)
+    assert (rep.reduced is not None) is bool(with_observer)
 
 
 def test_chsh_canonical_block():
@@ -211,7 +233,8 @@ def test_chsh_scan_reproducible_and_bounded():
 
 def test_chsh_scan_blocks_continue_one_stream(monkeypatch):
     one_block = run_chsh(scan_points=100, seed=3).chsh["scan"]
-    monkeypatch.setattr(scenarios, "_SCAN_BLOCK", 7)
+    # 8 quadruples a block, the last of the 13 blocks cut short to 4
+    monkeypatch.setattr(_pcg64, "_LANES", 32)
     assert run_chsh(scan_points=100, seed=3).chsh["scan"] == one_block
     quads = np.random.default_rng(3).uniform(0.0, 2 * math.pi, size=(100, 4))
     best = max(abs(chsh_value(*q)) for q in quads)
@@ -362,7 +385,7 @@ def test_runners_check_their_own_inputs(monkeypatch, runner, kwargs, message):
     def no_draw(*args, **kwargs):
         raise AssertionError("drawing started")
 
-    for owner, name in ((_pcg64, "Stream"), (scenarios, "chsh_values"),
+    for owner, name in ((_pcg64, "uniforms"), (scenarios, "chsh_values"),
                         (scenarios, "sample_records")):
         monkeypatch.setattr(owner, name, no_draw)
     args = (0.0, 0.0) if runner is run_epr_measure else ()
