@@ -159,27 +159,10 @@ def diagram_document(source: str, bundle: DiagramBundle) -> dict:
 # ---------------------------------------------------------------------------
 # state files
 
-def load_state(path) -> PureState | DensityOperator:
-    """Read a state file: {"kind", "dims", "data"} with data as [re, im] pairs.
-
-    Pure states list amplitudes; density operators list the matrix
-    entries flattened row-major.  All construction invariants are
-    enforced, including positive semidefiniteness for densities.
-    """
-    p = Path(path)
-    try:
-        raw = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"{p}: cannot read: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{p}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    try:
-        doc = json.loads(raw)
-    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
-        raise ValidationError(f"{p}: invalid JSON: {exc}") from None
+def _header(p: Path, doc) -> tuple[str, list, int]:
+    """Kind, dims and entry count of a parsed state file; data is not read."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{p}: expected a JSON object")
-
     kind = doc.get("kind")
     if kind not in ("pure", "density"):
         raise ValidationError(f"{p}: kind: expected 'pure' or 'density', got {kind!r}")
@@ -187,30 +170,61 @@ def load_state(path) -> PureState | DensityOperator:
     dims = doc.get("dims")
     if not isinstance(dims, list) or not dims or not all(type(d) is int and d >= 2 for d in dims):
         raise ValidationError(f"{p}: dims: expected a nonempty list of integers >= 2")
-    if math.prod(dims) > MAX_DENSE_DIM:
+    # each dim is >= 2, so a list with as many factors as the cap has bits is
+    # over it; its product would take time quadratic in the list's length
+    if len(dims) >= MAX_DENSE_DIM.bit_length() or math.prod(dims) > MAX_DENSE_DIM:
         raise ValidationError(f"{p}: dims: total dimension is over the limit of {MAX_DENSE_DIM}")
+    d = math.prod(dims)
+    return kind, dims, d if kind == "pure" else d * d
+
+
+def _read_whole(p: Path, raw: str) -> tuple[str, list, np.ndarray]:
+    """Any layout: json.loads on the whole text, then one complex() per entry."""
+    try:
+        doc = json.loads(raw)
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
+        raise ValidationError(f"{p}: invalid JSON: {exc}") from None
+    kind, dims, need = _header(p, doc)
     data = doc.get("data")
     if not isinstance(data, list):
         raise ValidationError(f"{p}: data: expected a list of [re, im] pairs")
-
     values = np.empty(len(data), dtype=complex)
     for i, entry in enumerate(data):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(type(x) in (int, float) for x in entry)
-        ):
+        if not isinstance(entry, list) or len(entry) != 2 or not all(type(x) in (int, float) for x in entry):
             raise ValidationError(f"{p}: data[{i}]: expected [re, im]")
         try:
             values[i] = complex(entry[0], entry[1])
         except OverflowError:
             raise ValidationError(f"{p}: data[{i}]: number too large for a float") from None
-
-    d = math.prod(dims)
-    need = d if kind == "pure" else d * d
     if len(data) != need:
         what = "amplitudes" if kind == "pure" else "entries"
         raise ValidationError(f"{p}: data: {len(data)} {what} but dims {dims} need {need}")
+    return kind, dims, values
+
+
+def load_state(path) -> PureState | DensityOperator:
+    """Read a state file: {"kind", "dims", "data"} with data as [re, im] pairs.
+
+    Pure states list amplitudes; density operators list the matrix
+    entries flattened row-major.  All construction invariants are
+    enforced, including positive semidefiniteness for densities.
+    """
+    from ._statefile import MAX_BYTES, read_canonical  # here: scenario and chsh never compile it
+
+    p = Path(path)
+    try:
+        if p.stat().st_size > MAX_BYTES:
+            raise ValidationError(f"{p}: file size is over the limit of {MAX_BYTES} bytes")
+        raw = p.read_text(encoding="utf-8")
+        kind, dims, values = read_canonical(raw, lambda head: _header(p, head)) or _read_whole(p, raw)
+    except OSError as exc:
+        raise ValidationError(f"{p}: cannot read: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{p}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except MemoryError:
+        raise ValidationError(f"{p}: too large to load into memory") from None
+    del raw  # the text is no longer needed while the matrices are built
+    d = math.prod(dims)
     # huge finite entries overflow the norm, trace or Hermitian deviation to
     # inf or nan, which the checks reject; numpy's warnings would only add
     # stderr lines

@@ -8,6 +8,7 @@ import tracemalloc
 import warnings
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from io import StringIO
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -498,6 +499,10 @@ def test_oversize_state_file_exits_2_before_any_dense_work(tmp_path, capsys, mon
         raise DensityBuilt
 
     monkeypatch.setattr(PureState, "to_density", no_density)
+    parsed = []  # every text json parses, whole or a chunk at a time
+    raw_decode = json.JSONDecoder.raw_decode
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode",
+                        lambda self, s, idx=0: parsed.append(s) or raw_decode(self, s, idx))
     monkeypatch.chdir(tmp_path)
     for qubits in (12, 13):
         data = [[1.0, 0.0]] + [[0.0, 0.0]] * (2**qubits - 1)
@@ -508,11 +513,84 @@ def test_oversize_state_file_exits_2_before_any_dense_work(tmp_path, capsys, mon
         with pytest.raises(DensityBuilt):  # the limit itself passes the gate
             main([command, "--state", "q12.json", "--partition", "A=0;B=1", "--format", fmt])
         capsys.readouterr()
+        parsed.clear()
         code, out, err = run_main(capsys, command, "--state", "q13.json",
                                   "--partition", "A=0;B=1", "--format", fmt)
         assert code == 2
         assert out == ""
         assert err == f"error: q13.json: dims: total dimension is over the limit of {MAX_DENSE_DIM}\n"
+        assert parsed and not any("[0.0, 0.0]" in text for text in parsed), "data was parsed"
+
+
+def test_long_dims_lists_are_refused_without_their_product(tmp_path, capsys, monkeypatch):
+    # 400,000 twos (1.2 MB) took 4.6 s to refuse: math.prod multiplied ever
+    # longer ints.  Every dim is >= 2, so a list with as many factors as the
+    # cap has bits is over the limit without its product.
+    prod = math.prod
+
+    def short_prod(factors, **kwargs):
+        assert len(factors) < MAX_DENSE_DIM.bit_length(), f"a product of {len(factors)} factors"
+        return prod(factors, **kwargs)
+
+    monkeypatch.setattr(math, "prod", short_prod)
+    monkeypatch.chdir(tmp_path)
+    dims, data = [2] * 400_000, [[1.0, 0.0], [0.0, 0.0]]
+    texts = {  # the chunked reader's header gate and the whole-document path
+        "canonical.json": json.dumps({"kind": "pure", "dims": dims, "data": data}) + "\n",
+        "reordered.json": json.dumps({"data": data, "dims": dims, "kind": "pure"}),
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+        code, out, err = run_main(capsys, "audit", "--state", name)
+        assert (code, out) == (2, "")
+        assert err == f"error: {name}: dims: total dimension is over the limit of {MAX_DENSE_DIM}\n"
+
+
+class ReadStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_state_file_over_the_size_bound_exits_2_before_any_read(tmp_path, capsys, monkeypatch, fmt):
+    # no canonical density file at MAX_DENSE_DIM is larger than MAX_BYTES;
+    # a larger one used to be read whole, and under a memory limit ended in
+    # a MemoryError traceback
+    from entroscope._statefile import MAX_BYTES
+
+    def no_read(*args, **kwargs):
+        raise ReadStarted
+
+    monkeypatch.chdir(tmp_path)
+    for name, size in (("limit.json", MAX_BYTES), ("over.json", MAX_BYTES + 1)):
+        with open(name, "wb"):
+            pass
+        os.truncate(name, size)  # sparse: no disk space is used
+    monkeypatch.setattr(Path, "open", no_read)
+    monkeypatch.setattr(Path, "read_text", no_read)
+    with pytest.raises(ReadStarted):  # the bound itself passes
+        main(["audit", "--state", "limit.json", "--format", fmt])
+    code, out, err = run_main(capsys, "audit", "--state", "over.json", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == f"error: over.json: file size is over the limit of {MAX_BYTES} bytes\n"
+
+
+@pytest.mark.parametrize("step", ["read", "chunked parse", "whole parse"])
+def test_memory_error_while_loading_exits_2_with_one_line(tmp_path, capsys, monkeypatch, step):
+    from entroscope import _statefile
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    text = serialize_state(random_density((2, 2), seed=5))
+    if step == "whole parse":  # another layout, read whole
+        text = json.dumps(json.loads(text), indent=2)
+    (tmp_path / "rho.json").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    target = {"read": (Path, "read_text"), "chunked parse": (_statefile, "read_canonical"),
+              "whole parse": (json, "loads")}[step]
+    monkeypatch.setattr(*target, out_of_memory)
+    code, out, err = run_main(capsys, "audit", "--state", "rho.json")
+    assert (code, out, err) == (2, "", "error: rho.json: too large to load into memory\n")
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])

@@ -1,22 +1,32 @@
 import json
 import math
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from entroscope import (
     DensityOperator,
     DiagramBundle,
     PartitionSpec,
+    PureState,
     ValidationError,
+    _statefile,
     epr_singlet,
     random_density,
+    random_pure,
     run_epr_measure,
     run_epr_pair,
 )
 from entroscope.report import (
     SCHEMA_VERSION,
+    _header,
+    _read_whole,
     load_state,
     diagram_document,
     q9,
@@ -161,6 +171,187 @@ def test_load_state_error_messages(tmp_path):
 
     with pytest.raises(ValidationError, match="cannot read"):
         load_state(tmp_path / "missing.json")
+
+
+GOLDEN_STATES = sorted((Path(__file__).parent / "golden" / "states").glob("*.json"))
+# doubles at the edges of the repr: the smallest subnormal, the largest finite
+EDGE_DOUBLES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                                -1.7976931348623157e308])
+
+
+def _both_paths(raw: str, chunk: int):
+    """What the chunked reader and the whole-document path make of one text."""
+    p = Path("state.json")
+    with mock.patch.object(_statefile, "_CHUNK", chunk):
+        chunked = _statefile.read_canonical(raw, lambda head: _header(p, head))
+    return chunked, _read_whole(p, raw)
+
+
+def _same_entries(got, want) -> bool:
+    return got[:2] == want[:2] and got[2].view(np.uint64).tolist() == want[2].view(np.uint64).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["pure", "density"]),
+    dims=st.sampled_from([[2], [3], [2, 2], [2, 3]]),
+    doubles=st.data(),
+    end=st.sampled_from(["\n", ""]),
+    chunk=st.sampled_from([1, 2, 7, 30, 100]) | st.just(_statefile._CHUNK),
+)
+def test_chunked_reader_equals_the_whole_document_path(kind, dims, doubles, end, chunk):
+    # a chunk length of a few bytes puts a chunk boundary at every separator
+    n = math.prod(dims) * (1 if kind == "pure" else math.prod(dims))
+    pair = st.lists(st.floats() | EDGE_DOUBLES, min_size=2, max_size=2)
+    data = doubles.draw(st.lists(pair, min_size=n, max_size=n))
+    raw = json.dumps({"kind": kind, "dims": dims, "data": data}) + end
+    chunked, whole = _both_paths(raw, chunk)
+    assert chunked is not None, "the canonical layout fell back to the whole-document path"
+    assert _same_entries(chunked, whole)
+
+
+@pytest.mark.parametrize("path", GOLDEN_STATES, ids=lambda p: p.stem)
+def test_golden_states_go_through_the_chunked_reader(path):
+    chunked, whole = _both_paths(path.read_text(encoding="utf-8"), _statefile._CHUNK)
+    assert chunked is not None
+    assert _same_entries(chunked, whole)
+
+
+def _pure_text(entries: list[str]) -> str:
+    return '{"kind": "pure", "dims": [%s], "data": [%s]}\n' % (
+        ", ".join(["2"] * (len(entries).bit_length() - 1)), ", ".join(entries))
+
+
+_BELL = ["[0.7071067811865476, 0.0]", "[0.0, 0.0]", "[0.0, 0.0]", "[0.7071067811865476, 0.0]"]
+_EIGHT = ["[0.3535533905932738, 0.0]"] * 8
+PARITY_CASES = {
+    # every case of test_load_state_error_messages
+    "not json": "{not json",
+    "kind": json.dumps({"kind": "mixed", "dims": [2], "data": []}),
+    "dims": json.dumps({"kind": "pure", "dims": [], "data": []}),
+    "short entry": json.dumps({"kind": "pure", "dims": [2], "data": [[1.0], [0.0, 0.0]]}),
+    "too few": json.dumps({"kind": "pure", "dims": [2, 2], "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}),
+    "trace": json.dumps({"kind": "density", "dims": [2],
+                         "data": [[0.49, 0.0], [0.0, 0.0], [0.0, 0.0], [0.49, 0.0]]}),
+    "norm": json.dumps({"kind": "pure", "dims": [2], "data": [[1.0, 0.0], [1.0, 0.0]]}),
+    "not psd": json.dumps({"kind": "density", "dims": [2],
+                           "data": [[1.5, 0.0], [0.0, 0.0], [0.0, 0.0], [-0.5, 0.0]]}),
+    # entries that are not JSON floats
+    "true": _pure_text(["[true, 0.0]", "[0.0, 0.0]"]),
+    "false": _pure_text(["[1.0, 0.0]", "[0.0, false]"]),
+    "nan": _pure_text(["[NaN, 0.0]", "[0.0, 0.0]"]),
+    "infinity": _pure_text(["[Infinity, 0.0]", "[0.0, -Infinity]"]),
+    "past float range": _pure_text(["[1e999, 0.0]", "[0.0, 0.0]"]),
+    "ints": _pure_text(["[1, 0]", "[0, 0]"]),
+    "int past float range": _pure_text(["[1" + "0" * 400 + ", 0]", "[0.0, 0.0]"]),
+    "over-long int": _pure_text(["[1" + "0" * 5000 + ", 0]", "[0.0, 0.0]"]),
+    "ragged late": _pure_text(_EIGHT[:5] + ["[0.3535533905932738]"] + _EIGHT[6:]),
+    "long entry late": _pure_text(_EIGHT[:6] + ["[0.3535533905932738, 0.0, 0.0]"] + _EIGHT[7:]),
+    "nested entry": _pure_text(_EIGHT[:3] + ["[[0.3535533905932738, 0.0]]"] + _EIGHT[4:]),
+    "string holding the separator": _pure_text(['["], [", 0.0]', "[1.0, 0.0]"]),
+    "null": _pure_text(["[null, 0.0]", "[1.0, 0.0]"]),
+    # headers refused in the canonical layout
+    "kind in the layout": _pure_text(_BELL).replace('"pure"', '"mixed"'),
+    "dims in the layout": _pure_text(_BELL).replace("[2, 2]", "[2, 1]"),
+    "dims over the limit in the layout": _pure_text(_BELL).replace("[2, 2]", "[%s]" % ", ".join(["2"] * 13)),
+    # other layouts and near misses of the canonical one
+    "indent=2": json.dumps(json.loads(_pure_text(_BELL)), indent=2),
+    "keys reordered": json.dumps({"data": json.loads(_pure_text(_BELL))["data"],
+                                  "dims": [2, 2], "kind": "pure"}) + "\n",
+    "no space in separators": _pure_text(_BELL).replace("], [", "],["),
+    "one separator without a space, one entry too many":
+        _pure_text(_BELL + ["[0.0, 0.0]"]).replace("], [", "],[", 1),
+    "entries missing for the dims": _pure_text(_BELL[:2]).replace("[2]", "[2, 2]"),
+    "ints mixed with floats": _pure_text(["[9007199254740993, 0.0]", "[0.0, 0.0]"]),
+    "data key twice": _pure_text(_BELL).replace("}\n", ', "data": [[1.0, 0.0]]}\n'),
+    "kind after data": _pure_text(_BELL).replace("}\n", ', "kind": "density"}\n'),
+    "empty header": "{" + _pure_text(_BELL)[_pure_text(_BELL).index(', "data"'):],
+    "header left open": _pure_text(_BELL).replace('"dims": [2, 2]', '"dims": [2, 2], "x": {"y": 1'),
+    "trailing text": _pure_text(_BELL) + "x",
+    "two newlines": _pure_text(_BELL) + "\n",
+    "carriage returns": _pure_text(_BELL).replace("\n", "\r\n"),
+    # files it accepts
+    "bell": _pure_text(_BELL),
+    "pure": serialize_state(random_pure((2, 3), seed=4)),
+    "density": serialize_state(random_density((2, 2), seed=6)),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 30, _statefile._CHUNK])
+@pytest.mark.parametrize("name", PARITY_CASES)
+def test_load_state_gives_the_whole_document_result(tmp_path, name, chunk):
+    # the object or the exact message load_state gave before the chunked
+    # reader, when every file went through the whole-document path
+    p = tmp_path / "state.json"
+    p.write_bytes(PARITY_CASES[name].encode())
+
+    def load(reader):
+        with mock.patch.object(_statefile, "read_canonical", reader), \
+                mock.patch.object(_statefile, "_CHUNK", chunk):
+            try:
+                return load_state(p)
+            except ValidationError as exc:
+                return str(exc)
+
+    got, want = load(_statefile.read_canonical), load(lambda raw, checked: None)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert type(got) is type(want) and got.dims == want.dims
+        field = "amplitudes" if isinstance(want, PureState) else "matrix"
+        assert getattr(got, field).view(np.uint64).tolist() == getattr(want, field).view(np.uint64).tolist()
+
+
+ACCEPTED = ("trace", "norm", "not psd", "nan", "infinity", "past float range", "bell", "pure",
+            "density", "kind in the layout", "dims in the layout",
+            "dims over the limit in the layout")
+
+
+@pytest.mark.parametrize("name", [n for n in PARITY_CASES if n != "carriage returns"])
+def test_chunked_reader_takes_float_pairs_in_the_canonical_layout_only(name):
+    # ints, bools, other layouts and near misses go to the whole-document path
+    p = Path("state.json")
+    with mock.patch.object(_statefile, "_CHUNK", 30):
+        try:
+            chunked = _statefile.read_canonical(PARITY_CASES[name], lambda head: _header(p, head))
+        except ValidationError:  # refused on the header, before the data
+            chunked = True
+    assert (chunked is not None) == (name in ACCEPTED)
+
+
+def test_a_header_claiming_more_entries_than_the_text_holds_allocates_nothing_large(tmp_path):
+    # the reader counts the separators before it allocates the entries
+    p = tmp_path / "big_header.json"
+    p.write_text('{"kind": "density", "dims": [4096], "data": [[1.0, 0.0], [0.0, 0.0]]}\n')
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"data: 2 entries but dims \[4096\] need 16777216"):
+            load_state(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peaked at {peak} bytes"
+
+
+def test_load_state_holds_no_python_object_per_entry(tmp_path):
+    # In the style of criterion 13: a canonical 2**8-dim density (65,536
+    # entries) may cost its text twice (read_text holds the bytes and the
+    # decoded str at once), 16 B per entry for each of two complex arrays
+    # (the parsed entries and the DensityOperator's copy), and 512 KiB of
+    # slack.  The whole-document path held about 130 B per entry in its
+    # JSON document and failed this bound.
+    p = tmp_path / "rho8.json"
+    p.write_text(serialize_state(random_density((2,) * 8, seed=11)))
+    entries = 2**16
+    load_state(p)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        load_state(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 2 * p.stat().st_size + 2 * 16 * entries + 2**19
+    assert peak <= bound, f"peaked at {peak} bytes, bound {bound}"
 
 
 def test_report_table_labels_epr_atoms():

@@ -40,10 +40,30 @@ def test_state_commands_leave_the_scenario_modules_unloaded(command):
         f"rc = cli.main([{command!r}, '--state', 'states/pure4.json',\n"
         "               '--partition', 'A=0;B=1;C=2,3', '--format', 'json'])\n"
         "mods = ('scenarios', 'measurement', 'states')\n"
-        "print(rc, [m for m in mods if 'entroscope.' + m in sys.modules], file=sys.stderr)\n"
+        "print(rc, [m for m in mods if 'entroscope.' + m in sys.modules],\n"
+        "      'entroscope._statefile' in sys.modules, file=sys.stderr)\n"
     )
     res = _python_text("-c", code, cwd=GOLDEN)
-    assert res.stderr == "0 []\n"
+    assert res.stderr == "0 [] True\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "epr_pair"],
+    ["scenario", "cat", "--observer", "--format", "table"],
+    ["scenario", "epr_measure", "--theta1", "0.3", "--theta2", "2", "--shots", "1000"],
+    ["chsh", "--scan", "100", "--seed", "3"],
+])
+def test_scenario_commands_leave_the_state_file_reader_unloaded(argv):
+    # load_state imports the chunked reader inside the function, so a
+    # process that reads no state file never compiles it
+    code = (
+        "import sys\n"
+        "from entroscope import cli\n"
+        f"rc = cli.main({argv!r})\n"
+        "print(rc, 'entroscope._statefile' in sys.modules, file=sys.stderr)\n"
+    )
+    res = _python_text("-c", code)
+    assert res.stderr == "0 False\n"
 
 
 @pytest.mark.parametrize("argv, stream", [
