@@ -47,25 +47,6 @@ def test_state_commands_leave_the_scenario_modules_unloaded(command):
     assert res.stderr == "0 [] True\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["scenario", "epr_pair"],
-    ["scenario", "cat", "--observer", "--format", "table"],
-    ["scenario", "epr_measure", "--theta1", "0.3", "--theta2", "2", "--shots", "1000"],
-    ["chsh", "--scan", "100", "--seed", "3"],
-])
-def test_scenario_commands_leave_the_state_file_reader_unloaded(argv):
-    # load_state imports the chunked reader inside the function, so a
-    # process that reads no state file never compiles it
-    code = (
-        "import sys\n"
-        "from entroscope import cli\n"
-        f"rc = cli.main({argv!r})\n"
-        "print(rc, 'entroscope._statefile' in sys.modules, file=sys.stderr)\n"
-    )
-    res = _python_text("-c", code)
-    assert res.stderr == "0 False\n"
-
-
 @pytest.mark.parametrize("argv, stream", [
     (["scenario", "epr_measure", "--theta1", "0.3", "--theta2", "2", "--shots", "1000", "--seed", "3"], True),
     (["chsh", "--scan", "100", "--seed", "3"], True),
@@ -73,12 +54,14 @@ def test_scenario_commands_leave_the_state_file_reader_unloaded(argv):
 ])
 def test_sampled_commands_leave_numpy_random_unloaded(argv, stream):
     # the package draws from its own stream, so no CLI process pays for
-    # numpy.random and the hashing and OpenSSL modules it imports
+    # numpy.random and the hashing and OpenSSL modules it imports; and
+    # load_state imports the state-file reader inside the function, so
+    # scenario and chsh never compile it
     code = (
         "import sys\n"
         "from entroscope import cli\n"
         f"rc = cli.main({argv!r})\n"
-        "mods = ('numpy.random', 'secrets', '_hashlib')\n"
+        "mods = ('numpy.random', 'secrets', '_hashlib', 'entroscope._statefile')\n"
         "print(rc, 'entroscope._pcg64' in sys.modules, [m for m in mods if m in sys.modules],\n"
         "      file=sys.stderr)\n"
     )
