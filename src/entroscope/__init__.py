@@ -39,9 +39,9 @@ _MODULE_OF = {
         "run_epr_pair", "run_scenario",
     ), "scenarios"),
     **dict.fromkeys((
-        "load_state", "render_report_table", "report_document",
-        "serialize_document", "serialize_state",
+        "load_state", "render_report_table", "report_document", "serialize_document",
     ), "report"),
+    "serialize_state": "_statefile",
 }
 
 __all__ = ["__version__", *_MODULE_OF]

@@ -1,17 +1,17 @@
-"""Canonical report documents, state files, and text tables.
+"""Canonical report documents, text tables, and load_state.
 
 Documents are plain dicts with a fixed key order and every float
 quantized to nine fractional digits, so serializing the same report
 twice yields byte-identical output and json.loads(serialize(doc)) == doc.
 The table renderer works from the same document, which keeps the two
-formats numerically identical.
+formats numerically identical.  State files belong to _statefile; load_state
+builds and checks the state it reads.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,9 +31,6 @@ SCHEMA_VERSION = "1.0.0"
 # scenarios.
 SCENARIO_IDS = ("epr_pair", "epr_measure", "cat", "chsh")
 CAT_GROUPINGS = ("atom", "atom_gamma")
-# Largest total dimension a state file may declare: every route to a diagram
-# builds the dense 2**12 x 2**12 density matrix (256 MB) at this size.
-MAX_DENSE_DIM = 2**12
 
 
 def q9(x: float) -> float:
@@ -159,49 +156,6 @@ def diagram_document(source: str, bundle: DiagramBundle) -> dict:
 # ---------------------------------------------------------------------------
 # state files
 
-def _header(p: Path, doc) -> tuple[str, list, int]:
-    """Kind, dims and entry count of a parsed state file; data is not read."""
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{p}: expected a JSON object")
-    kind = doc.get("kind")
-    if kind not in ("pure", "density"):
-        raise ValidationError(f"{p}: kind: expected 'pure' or 'density', got {kind!r}")
-    # type() rather than isinstance: JSON true/false load as bool, an int subclass
-    dims = doc.get("dims")
-    if not isinstance(dims, list) or not dims or not all(type(d) is int and d >= 2 for d in dims):
-        raise ValidationError(f"{p}: dims: expected a nonempty list of integers >= 2")
-    # each dim is >= 2, so a list with as many factors as the cap has bits is
-    # over it; its product would take time quadratic in the list's length
-    if len(dims) >= MAX_DENSE_DIM.bit_length() or math.prod(dims) > MAX_DENSE_DIM:
-        raise ValidationError(f"{p}: dims: total dimension is over the limit of {MAX_DENSE_DIM}")
-    d = math.prod(dims)
-    return kind, dims, d if kind == "pure" else d * d
-
-
-def _read_whole(p: Path, raw: str) -> tuple[str, list, np.ndarray]:
-    """Any layout: json.loads on the whole text, then one complex() per entry."""
-    try:
-        doc = json.loads(raw)
-    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
-        raise ValidationError(f"{p}: invalid JSON: {exc}") from None
-    kind, dims, need = _header(p, doc)
-    data = doc.get("data")
-    if not isinstance(data, list):
-        raise ValidationError(f"{p}: data: expected a list of [re, im] pairs")
-    values = np.empty(len(data), dtype=complex)
-    for i, entry in enumerate(data):
-        if not isinstance(entry, list) or len(entry) != 2 or not all(type(x) in (int, float) for x in entry):
-            raise ValidationError(f"{p}: data[{i}]: expected [re, im]")
-        try:
-            values[i] = complex(entry[0], entry[1])
-        except OverflowError:
-            raise ValidationError(f"{p}: data[{i}]: number too large for a float") from None
-    if len(data) != need:
-        what = "amplitudes" if kind == "pure" else "entries"
-        raise ValidationError(f"{p}: data: {len(data)} {what} but dims {dims} need {need}")
-    return kind, dims, values
-
-
 def load_state(path) -> PureState | DensityOperator:
     """Read a state file: {"kind", "dims", "data"} with data as [re, im] pairs.
 
@@ -209,48 +163,18 @@ def load_state(path) -> PureState | DensityOperator:
     entries flattened row-major.  All construction invariants are
     enforced, including positive semidefiniteness for densities.
     """
-    from ._statefile import MAX_BYTES, read_canonical  # here: scenario and chsh never compile it
+    from ._statefile import read_state  # here: scenario and chsh never compile it
 
-    p = Path(path)
-    try:
-        if p.stat().st_size > MAX_BYTES:
-            raise ValidationError(f"{p}: file size is over the limit of {MAX_BYTES} bytes")
-        raw = p.read_text(encoding="utf-8")
-        kind, dims, values = read_canonical(raw, lambda head: _header(p, head)) or _read_whole(p, raw)
-    except OSError as exc:
-        raise ValidationError(f"{p}: cannot read: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{p}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    except MemoryError:
-        raise ValidationError(f"{p}: too large to load into memory") from None
-    del raw  # the text is no longer needed while the matrices are built
-    d = math.prod(dims)
+    kind, dims, values = read_state(path)
     # huge finite entries overflow the norm, trace or Hermitian deviation to
     # inf or nan, which the checks reject; numpy's warnings would only add
     # stderr lines
     with np.errstate(over="ignore", invalid="ignore"):
         if kind == "pure":
             return PureState(values, tuple(dims))
-        rho = DensityOperator(values.reshape(d, d), tuple(dims))
+        rho = DensityOperator(values.reshape(math.prod(dims), -1), tuple(dims))
         rho.validate_psd()
     return rho
-
-
-def serialize_state(state: PureState | DensityOperator) -> str:
-    """Full-precision JSON for a state file, in the form load_state reads.
-
-    Report documents round to 9 fractional digits; state files must
-    round-trip through load_state within 1e-12, so they keep the full
-    float repr instead.
-    """
-    pure = isinstance(state, PureState)
-    flat = state.amplitudes if pure else state.matrix.reshape(-1)
-    doc = {
-        "kind": "pure" if pure else "density",
-        "dims": list(state.dims),
-        "data": [[float(z.real), float(z.imag)] for z in flat],
-    }
-    return json.dumps(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +212,10 @@ def _audit_lines(audit: dict) -> list[str]:
         lines.append(f"monotonicity violations: {pairs}")
     else:
         lines.append("monotonicity violations: none")
-    for name, label in (
-        ("subadditivity", "subadditivity"),
-        ("triangle", "triangle"),
-        ("strong_subadditivity", "strong subadditivity"),
-    ):
+    for name in ("subadditivity", "triangle", "strong_subadditivity"):
         # a violation raises before any document exists, so a slack means ok
         slack = audit[f"{name}_worst_slack"]
+        label = name.replace("_", " ")
         if slack is None:
             lines.append(f"{label}: not applicable")
         else:

@@ -21,7 +21,7 @@ from entroscope import (
 )
 from entroscope.cli import main
 from entroscope.measurement import MAX_SHOTS
-from entroscope.report import MAX_DENSE_DIM, serialize_state
+from entroscope._statefile import MAX_DENSE_DIM, serialize_state
 
 
 def run_cli(*args, env_extra=None):

@@ -23,17 +23,15 @@ from entroscope import (
     run_epr_measure,
     run_epr_pair,
 )
+from entroscope._statefile import _read_whole, serialize_state
 from entroscope.report import (
     SCHEMA_VERSION,
-    _header,
-    _read_whole,
     load_state,
     diagram_document,
     q9,
     render_report_table,
     report_document,
     serialize_document,
-    serialize_state,
 )
 
 EPR_PARTITION = PartitionSpec.of(L=[0], R=[1])
@@ -183,7 +181,7 @@ def _both_paths(raw: str, chunk: int):
     """What the chunked reader and the whole-document path make of one text."""
     p = Path("state.json")
     with mock.patch.object(_statefile, "_CHUNK", chunk):
-        chunked = _statefile.read_canonical(raw, lambda head: _header(p, head))
+        chunked = _statefile.read_canonical(raw, p)
     return chunked, _read_whole(p, raw)
 
 
@@ -293,7 +291,7 @@ def test_load_state_gives_the_whole_document_result(tmp_path, name, chunk):
             except ValidationError as exc:
                 return str(exc)
 
-    got, want = load(_statefile.read_canonical), load(lambda raw, checked: None)
+    got, want = load(_statefile.read_canonical), load(lambda raw, p: None)
     if isinstance(want, str):
         assert got == want
     else:
@@ -313,7 +311,7 @@ def test_chunked_reader_takes_float_pairs_in_the_canonical_layout_only(name):
     p = Path("state.json")
     with mock.patch.object(_statefile, "_CHUNK", 30):
         try:
-            chunked = _statefile.read_canonical(PARITY_CASES[name], lambda head: _header(p, head))
+            chunked = _statefile.read_canonical(PARITY_CASES[name], p)
         except ValidationError:  # refused on the header, before the data
             chunked = True
     assert (chunked is not None) == (name in ACCEPTED)

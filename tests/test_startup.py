@@ -51,6 +51,8 @@ def test_state_commands_leave_the_scenario_modules_unloaded(command):
     (["scenario", "epr_measure", "--theta1", "0.3", "--theta2", "2", "--shots", "1000", "--seed", "3"], True),
     (["chsh", "--scan", "100", "--seed", "3"], True),
     (["scenario", "epr_measure", "--theta1", "0.3", "--theta2", "2"], False),
+    (["scenario", "epr_pair"], False),
+    (["scenario", "cat", "--observer", "--format", "table"], False),
 ])
 def test_sampled_commands_leave_numpy_random_unloaded(argv, stream):
     # the package draws from its own stream, so no CLI process pays for
@@ -67,6 +69,18 @@ def test_sampled_commands_leave_numpy_random_unloaded(argv, stream):
     )
     res = _python_text("-c", code)
     assert res.stderr == f"0 {stream} []\n"
+
+
+def test_the_state_file_reader_loads_without_report():
+    # the state-file format lives in _statefile alone: it imports nothing
+    # from report, which imports it only inside load_state
+    code = (
+        "import sys\n"
+        "import entroscope._statefile\n"
+        "print('entroscope.report' in sys.modules, file=sys.stderr)\n"
+    )
+    res = _python_text("-c", code)
+    assert (res.returncode, res.stderr) == (0, "False\n")
 
 
 @pytest.mark.parametrize("name", [
