@@ -20,12 +20,11 @@ _MODULE_OF = {
     ), "linalg"),
     **dict.fromkeys((
         "InequalityAudit", "PartitionSpec", "audit_inequalities", "clamp_spectrum",
-        "conditional_entropy", "grouped_entropies", "joint_entropies", "mutual_entropy",
-        "resum_joints", "shannon_entropy", "ternary_center", "venn_atoms", "von_neumann_entropy",
+        "grouped_entropies", "joint_entropies", "mutual_entropy", "resum_joints",
+        "shannon_entropy", "ternary_center", "venn_atoms", "von_neumann_entropy",
     ), "entropy"),
     **dict.fromkeys((
-        "axis_angle", "basis_rotation", "cat_chain", "epr_singlet", "ghz",
-        "random_density", "random_pure", "spin_observable",
+        "axis_angle", "basis_rotation", "cat_chain", "epr_singlet", "ghz", "spin_observable",
     ), "states"),
     **dict.fromkeys((
         "CLASSICAL_BOUND", "TSIRELSON_BOUND", "MeasurementSetup", "chsh_value", "chsh_values",

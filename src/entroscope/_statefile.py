@@ -47,11 +47,11 @@ def _header(p: Path, doc) -> tuple[str, list, int]:
 
 def read_canonical(raw: str, p: Path):
     """(kind, dims, complex entries) of text in the canonical layout, or None
-    for any other text or any entry but a pair of JSON floats.  The header is
-    checked by _header, which may raise, before any data is parsed."""
+    for any other text, a key after the data (it may override the header) or
+    any entry but a pair of JSON floats.  _header, which may raise, runs first."""
     start = raw.find(_HEAD)
     stop = len(raw) - raw.endswith("\n") - 3
-    if start < 0 or not raw.startswith("]]}", stop):
+    if start < 0 or not raw.startswith("]]}", stop) or raw.find('"', start + len(_HEAD), stop) >= 0:
         return None
     try:
         head = json.loads(raw[:start] + "}")

@@ -189,24 +189,13 @@ def _require(joints: dict[Subset, float], key: Subset) -> float:
     return joints[key]
 
 
-def _disjoint_groups(joints: dict[Subset, float], a, b) -> tuple[Subset, Subset, Subset]:
-    """Party groups A and B as subset keys, checked disjoint, and their union."""
+def mutual_entropy(joints: dict[Subset, float], a, b) -> float:
+    """S(A:B) = S(A) + S(B) - S(AB) for disjoint party groups A, B."""
     names = _party_order(joints)
     sa, sb = _as_subset(names, a), _as_subset(names, b)
     if set(sa) & set(sb):
         raise ValidationError(f"groups {sa} and {sb} overlap")
-    return sa, sb, tuple(n for n in names if n in sa or n in sb)
-
-
-def conditional_entropy(joints: dict[Subset, float], a, b) -> float:
-    """S(A|B) = S(AB) - S(B) for disjoint party groups A, B."""
-    _, sb, union = _disjoint_groups(joints, a, b)
-    return _require(joints, union) - _require(joints, sb)
-
-
-def mutual_entropy(joints: dict[Subset, float], a, b) -> float:
-    """S(A:B) = S(A) + S(B) - S(AB) for disjoint party groups A, B."""
-    sa, sb, union = _disjoint_groups(joints, a, b)
+    union = tuple(n for n in names if n in sa or n in sb)
     return _require(joints, sa) + _require(joints, sb) - _require(joints, union)
 
 

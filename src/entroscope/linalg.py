@@ -123,6 +123,9 @@ class DensityOperator:
         tr = complex(np.trace(mat))
         if not abs(tr - 1.0) <= TRACE_TOL:  # a trace summed to nan fails too
             raise ValidationError(f"trace = {tr.real:.6g} != 1 (tolerance {TRACE_TOL})")
+        # the exact Hermitian part: deviations a partial trace would add up
+        mat += mat.conj().T
+        mat *= 0.5
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)

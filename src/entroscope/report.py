@@ -42,9 +42,8 @@ def q9(x: float) -> float:
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValidationError(f"non-finite number in document: {x!r}")
-    if x == 0.0:
-        x = 0.0
-    return f"{x:.9f}"
+    s = f"{x:.9f}"
+    return "0.000000000" if s == "-0.000000000" else s  # -0.0 and tiny negatives
 
 
 def _emit(value, out: list[str]) -> None:

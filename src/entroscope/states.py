@@ -8,7 +8,7 @@ import numbers
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import DensityOperator, PureState, _as_dims, _index
+from .linalg import PureState, _index
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -85,24 +85,3 @@ def cat_chain(with_observer: bool) -> PureState:
     """
     return ghz(4 if with_observer else 3)
 
-
-def random_density(dim_per_factor, seed) -> DensityOperator:
-    """rho = G G^dag / Tr(G G^dag) with seeded iid complex Gaussians.
-
-    Full rank with probability 1; deterministic for a given seed."""
-    dims = _as_dims(dim_per_factor)
-    d = math.prod(dims)
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    return DensityOperator(m, dims)
-
-
-def random_pure(dim_per_factor, seed) -> PureState:
-    """Normalized vector of seeded iid complex Gaussians."""
-    dims = _as_dims(dim_per_factor)
-    d = math.prod(dims)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return PureState(v / np.linalg.norm(v), dims)

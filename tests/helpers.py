@@ -19,8 +19,8 @@ R / CNOT / R^dag circuit as np.kron matrices (the package stacks one
 projected copy of the state per pointer value), and the audit's worst
 slacks from every (A, B, C) triple of bitmasks (the package walks
 unordered (A, C) pairs per B).  Agreement between the two routes is
-the point of the tests.  Purity and the schema-checking document parser
-are test-only tools.
+the point of the tests.  Purity, the schema-checking document parser and
+the seeded random states are test-only tools.
 """
 
 import json
@@ -33,6 +33,7 @@ from itertools import product
 import numpy as np
 
 from entroscope import ValidationError
+from entroscope.linalg import DensityOperator, PureState, _as_dims
 
 
 JACOBI_OFF_TOL = 1e-13
@@ -370,3 +371,25 @@ def random_unitary(rng, n: int) -> np.ndarray:
     q, r = np.linalg.qr(g)
     # fix the phase ambiguity so the result is deterministic per seed
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def random_density(dim_per_factor, seed) -> DensityOperator:
+    """rho = G G^dag / Tr(G G^dag) with seeded iid complex Gaussians.
+
+    Full rank with probability 1; deterministic for a given seed."""
+    dims = _as_dims(dim_per_factor)
+    d = math.prod(dims)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    return DensityOperator(m, dims)
+
+
+def random_pure(dim_per_factor, seed) -> PureState:
+    """Normalized vector of seeded iid complex Gaussians."""
+    dims = _as_dims(dim_per_factor)
+    d = math.prod(dims)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return PureState(v / np.linalg.norm(v), dims)

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from helpers import random_density
 from entroscope import (
-    DensityOperator, PureState, _pcg64, cli, epr_singlet, ghz, measurement, random_density, scenarios,
+    DensityOperator, PureState, _pcg64, cli, epr_singlet, ghz, measurement, scenarios,
 )
 from entroscope.cli import main
 from entroscope.measurement import MAX_SHOTS
@@ -146,6 +147,20 @@ def test_audit_subcommand(tmp_path):
     res = run_cli("audit", "--state", str(bad))
     assert res.returncode == 2
     assert "trace" in res.stderr
+
+
+def test_hermitian_deviations_do_not_add_up_in_a_partial_trace(tmp_path, capsys, monkeypatch):
+    # each off-diagonal pair is 0.9e-12 from Hermitian, inside the tolerance;
+    # tracing out the second qubit used to add two of them up to 1.8e-12
+    rho = np.diag([0.25 + 0j] * 4)
+    rho[0, 2] = rho[2, 0] = rho[1, 3] = rho[3, 1] = 0.1
+    rho[0, 2] += 0.9e-12
+    rho[1, 3] += 0.9e-12
+    data = [[float(z.real), float(z.imag)] for z in rho.reshape(-1)]
+    (tmp_path / "rho.json").write_text(json.dumps({"kind": "density", "dims": [2, 2], "data": data}))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_main(capsys, "audit", "--state", "rho.json")
+    assert (code, err) == (0, "")
 
 
 def test_scenario_table_epr_singlet_rows():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import random_density, random_pure
 from entroscope import (
     DensityOperator,
     NumericalFaultError,
@@ -12,14 +13,11 @@ from entroscope import (
     ValidationError,
     audit_inequalities,
     clamp_spectrum,
-    conditional_entropy,
     epr_singlet,
     ghz,
     grouped_entropies,
     joint_entropies,
     mutual_entropy,
-    random_density,
-    random_pure,
     shannon_entropy,
     ternary_center,
     venn_atoms,
@@ -161,8 +159,9 @@ def test_party_factors_must_be_integers():
 
 def test_conditional_and_mutual_epr():
     joints = joint_entropies(epr_singlet().to_density(), EPR_PARTITION)
-    assert conditional_entropy(joints, "L", "R") == pytest.approx(-1.0, abs=1e-9)
-    assert conditional_entropy(joints, "R", "L") == pytest.approx(-1.0, abs=1e-9)
+    # S(L|R) = S(LR) - S(R) and S(R|L) = S(LR) - S(L)
+    assert joints[("L", "R")] - joints[("R",)] == pytest.approx(-1.0, abs=1e-9)
+    assert joints[("L", "R")] - joints[("L",)] == pytest.approx(-1.0, abs=1e-9)
     assert mutual_entropy(joints, "L", "R") == pytest.approx(2.0, abs=1e-9)
     with pytest.raises(ValidationError):
         mutual_entropy(joints, "L", "L")
@@ -265,9 +264,8 @@ def test_atom_residual_guard_raises(monkeypatch):
 @pytest.mark.parametrize("check", [
     venn_atoms,
     audit_inequalities,
-    lambda j: conditional_entropy(j, "A", "B"),
     lambda j: mutual_entropy(j, "A", "B"),
-], ids=["venn_atoms", "audit_inequalities", "conditional_entropy", "mutual_entropy"])
+], ids=["venn_atoms", "audit_inequalities", "mutual_entropy"])
 def test_non_finite_joint_is_rejected(check, bad):
     joints = {("A",): bad, ("B",): 1.0, ("A", "B"): 0.0}
     with pytest.raises(ValidationError, match=r"joint entropy of \('A',\) is not finite"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import random_density
 from entroscope import (
     DensityOperator,
     NumericalFaultError,
@@ -11,7 +12,6 @@ from entroscope import (
     ValidationError,
     epr_singlet,
     ghz,
-    random_density,
 )
 from entroscope.linalg import (
     hermitian_eig,

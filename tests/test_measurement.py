@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import random_pure
 from entroscope import (
     MeasurementSetup,
     PartitionSpec,
@@ -22,7 +23,6 @@ from entroscope import (
     mutual_entropy,
     outcome_probabilities,
     premeasure,
-    random_pure,
     sample_records,
     ternary_center,
     venn_atoms,

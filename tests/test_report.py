@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import random_density, random_pure
 from entroscope import (
     DensityOperator,
     DiagramBundle,
@@ -18,8 +19,6 @@ from entroscope import (
     ValidationError,
     _statefile,
     epr_singlet,
-    random_density,
-    random_pure,
     run_epr_measure,
     run_epr_pair,
 )
@@ -57,6 +56,7 @@ def test_serialized_numbers_have_nine_digits():
     assert '"L": 1.000000000' in text
     assert '"L,R": 2.000000000' in text
     assert "-0." not in text  # negative zero is normalized away
+    assert serialize_document({"a": -1e-10}) == '{"a": 0.000000000}'
 
 
 def test_serialize_parse_round_trip():
@@ -268,6 +268,11 @@ PARITY_CASES = {
     "trailing text": _pure_text(_BELL) + "x",
     "two newlines": _pure_text(_BELL) + "\n",
     "carriage returns": _pure_text(_BELL).replace("\n", "\r\n"),
+    # a key after the data overrides the header the chunked reader would gate
+    "key after data": '{"kind": "pure", "data": [[1.0, 0.0], [0.0, 0.0]], "dims": [2], "note": [[1]]}',
+    "dims over the limit, overridden after data":
+        '{"kind": "pure", "dims": [%s], "data": [[1.0, 0.0], [0.0, 0.0]], "dims": [2], "note": [[1]]}'
+        % ", ".join(["2"] * 13),
     # files it accepts
     "bell": _pure_text(_BELL),
     "pure": serialize_state(random_pure((2, 3), seed=4)),

@@ -2,7 +2,9 @@
 what `import entroscope` and each command load, what `run()` leaves set,
 and how the process ends when its stdout closes early."""
 
+import ast
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -69,6 +71,22 @@ def test_sampled_commands_leave_numpy_random_unloaded(argv, stream):
     )
     res = _python_text("-c", code)
     assert res.stderr == f"0 {stream} []\n"
+
+
+def test_no_library_module_uses_numpy_random():
+    # the package draws from _pcg64 alone; seeded test states live in tests/
+    uses = []
+    for path in sorted((SRC / "entroscope").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                module = getattr(node, "module", None)
+                names = [f"{module}.{a.name}" if module else a.name for a in node.names]
+            else:
+                continue
+            uses += [f"{path.name}:{node.lineno}" for n in names if re.match(r"(np|numpy)\.random\b", n)]
+    assert uses == []
 
 
 def test_the_state_file_reader_loads_without_report():

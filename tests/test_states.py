@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import random_density, random_pure
 from entroscope import (
     ValidationError,
     axis_angle,
@@ -11,8 +12,6 @@ from entroscope import (
     cat_chain,
     epr_singlet,
     ghz,
-    random_density,
-    random_pure,
     spin_observable,
     von_neumann_entropy,
 )
