@@ -3,7 +3,9 @@
 The state files under golden/states/ are seeded and written with plain
 numpy, so no change to the package can change its own inputs.
 golden/out/ holds the stdout each invocation printed when the fixtures
-were captured.  A mismatch means the output changed.
+were captured.  A mismatch means the output changed.  golden/help/ holds
+the --help text of the program and of each command at COLUMNS=80, as
+Python 3.11's argparse formats it; --write does not touch it.
 
     PYTHONPATH=src python tests/test_golden.py --write
 
@@ -167,6 +169,13 @@ def test_cli_stdout_matches_golden(name, monkeypatch):
     code, out, err = _run(CASES[name])
     assert code == 0, err
     assert out == (GOLDEN / "out" / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["entroscope", "scenario", "diagram", "chsh", "audit"])
+def test_help_matches_golden(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at COLUMNS - 2
+    argv = ("--help",) if command == "entroscope" else (command, "--help")
+    assert _run(argv) == (0, (GOLDEN / "help" / f"{command}.txt").read_text(), "")
 
 
 @pytest.mark.parametrize("name", sorted(n for n in CASES if n.endswith(".table")))
