@@ -7,7 +7,7 @@ entropy inequalities, and run the canned EPR / cat / CHSH analyses.
 
 import importlib
 
-from .version import __version__
+__version__ = "0.1.0"
 
 # Public name -> defining module.  A name is imported on first access
 # (PEP 562), so `import entroscope` loads neither numpy nor the modules a

@@ -12,7 +12,8 @@ import math
 import os
 import sys
 
-from .entropy import DiagramBundle, PartitionSpec
+from . import __version__
+from .entropy import MAX_PARTIES, DiagramBundle, PartitionSpec
 from .errors import NumericalFaultError, ValidationError
 from .report import (
     CAT_GROUPINGS,
@@ -23,7 +24,6 @@ from .report import (
     report_document,
     serialize_document,
 )
-from .version import __version__
 
 SEED_ENV_VAR = "ENTROSCOPE_SEED"
 
@@ -144,24 +144,23 @@ def build_parser() -> argparse.ArgumentParser:
                     help="which factors form the atomic party in the cat scenario (default atom_gamma)")
     sc.add_argument("--observer", action="store_true", default=None, dest="with_observer",
                     help="include the observer factor (cat scenario)")
-    sc.add_argument("--format", choices=("json", "table"), default="table")
 
     dg = sub.add_parser("diagram", help="Venn diagram of a state file under a partition")
     dg.add_argument("--state", required=True, help="path to a state JSON file")
     dg.add_argument("--partition", required=True, help="e.g. 'Q=0,1;A1=2;A2=3'")
-    dg.add_argument("--format", choices=("json", "table"), default="table")
 
     ch = sub.add_parser("chsh", help="CHSH correlator sum")
     ch.add_argument("--angles", help="a,a',b,b' in radians (or z|x); default canonical")
     ch.add_argument("--scan", type=int, default=0, metavar="N", help="also scan N random angle sets")
     ch.add_argument("--seed", type=int, default=None, help=f"scan seed (default {SEED_ENV_VAR} or 0)")
-    ch.add_argument("--format", choices=("json", "table"), default="table")
 
     au = sub.add_parser("audit", help="entropy inequality audit of a state file")
     au.add_argument("--state", required=True, help="path to a state JSON file")
     au.add_argument("--partition", default=None, help="defaults to one party per factor")
-    au.add_argument("--format", choices=("json", "table"), default="table")
 
+    for cmd, run in ((sc, _cmd_scenario), (dg, _cmd_state), (ch, _cmd_scenario), (au, _cmd_state)):
+        cmd.add_argument("--format", choices=("json", "table"), default="table")
+        cmd.set_defaults(run=run)
     return ap
 
 
@@ -207,23 +206,14 @@ def _cmd_state(args) -> int:
     state = load_state(args.state)
     if partition is None:
         n = len(state.dims)
-        if n > 5:
-            raise ValidationError(
-                f"state has {n} factors; pass --partition to group them into at most 5 parties"
-            )
+        if n > MAX_PARTIES:
+            raise ValidationError(f"state has {n} factors; pass --partition to group them"
+                                  f" into at most {MAX_PARTIES} parties")
         partition = PartitionSpec(
             tuple((f"F{i}", frozenset({i})) for i in range(n))
         )
     _emit_doc(diagram_document(args.state, DiagramBundle.of(state, partition)), args.format)
     return 0
-
-
-_COMMANDS = {
-    "scenario": _cmd_scenario,
-    "diagram": _cmd_state,
-    "chsh": _cmd_scenario,
-    "audit": _cmd_state,
-}
 
 
 def main(argv=None) -> int:
@@ -236,7 +226,7 @@ def main(argv=None) -> int:
         empty = [dest for dest, value in vars(args).items() if value == []]
         if empty:
             raise ValidationError(f"argument --{empty[0]}: expected one argument")
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except SystemExit as exc:  # --help and --version print to stdout and exit 0
         return int(exc.code or 0)
     except ValidationError as exc:

@@ -16,9 +16,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import __version__
 from .errors import ValidationError
 from .linalg import DensityOperator, PureState
-from .version import __version__
 
 if TYPE_CHECKING:  # annotations only: diagram and audit never load scenarios
     from .entropy import DiagramBundle
@@ -250,26 +250,19 @@ def render_report_table(doc: dict) -> str:
             lines.append(f"seed: {doc['seed']}")
     elif "state_file" in doc:
         lines.append(f"state: {doc['state_file']}")
-    if doc.get("diagram"):
-        lines.append("")
-        lines += _diagram_lines("-- diagram --", doc["diagram"])
-    if doc.get("reduced_diagram"):
-        lines.append("")
-        lines += _diagram_lines("-- reduced diagram --", doc["reduced_diagram"])
+    # a present block gets a blank line, then its lines
+    for key, title in (("diagram", "-- diagram --"), ("reduced_diagram", "-- reduced diagram --")):
+        if doc.get(key):
+            lines += ["", *_diagram_lines(title, doc[key])]
     if doc.get("ternary_center") is not None:
         lines.append("")
         lines.append(f"ternary center: {doc['ternary_center']:+.9f}")
     if doc.get("q_devices_mutual") is not None:
         lines.append(f"quantum:devices mutual: {doc['q_devices_mutual']:.9f}")
-    if doc.get("sampled"):
-        lines.append("")
-        lines += _sampled_lines(doc["sampled"])
-    if doc.get("orthodox"):
-        lines.append("")
-        lines += _orthodox_lines(doc["orthodox"])
-    if doc.get("chsh"):
-        lines.append("")
-        lines += _chsh_lines(doc["chsh"])
+    for key, block_lines in (("sampled", _sampled_lines), ("orthodox", _orthodox_lines),
+                             ("chsh", _chsh_lines)):
+        if doc.get(key):
+            lines += ["", *block_lines(doc[key])]
     return "\n".join(lines)
 
 
