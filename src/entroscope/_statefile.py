@@ -124,9 +124,11 @@ def read_state(path) -> tuple[str, list, np.ndarray]:
 
 def serialize_state(state: PureState | DensityOperator) -> str:
     """Full-precision JSON for a state file, in the form load_state reads:
-    unlike report documents, rounded to 9 digits, it reloads exactly."""
+    unlike report documents, rounded to 9 digits, it reloads exactly.  The
+    data is written 4,096 entries at a time, not as one list per entry."""
     pure = isinstance(state, PureState)
     flat = state.amplitudes if pure else state.matrix.reshape(-1)
-    doc = {"kind": "pure" if pure else "density", "dims": list(state.dims),
-           "data": [[float(z.real), float(z.imag)] for z in flat]}
-    return json.dumps(doc) + "\n"
+    rows = np.ascontiguousarray(flat, dtype=complex).view(float).reshape(-1, 2)
+    head = json.dumps({"kind": "pure" if pure else "density", "dims": list(state.dims)})[:-1]
+    data = ", ".join(json.dumps(rows[i:i + 4096].tolist())[1:-1] for i in range(0, len(rows), 4096))
+    return f'{head}, "data": [{data}]}}\n'

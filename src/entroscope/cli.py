@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 2 for anything wrong with the input (bad
-flags, malformed files, invalid angles or partitions), 1 for an internal
-numerical fault.  Data goes to stdout, messages to stderr.
+flags, malformed files, invalid angles or partitions) or out of memory,
+1 for an internal numerical fault.  Data goes to stdout, messages to stderr.
 """
 
 from __future__ import annotations
@@ -235,3 +235,6 @@ def main(argv=None) -> int:
     except NumericalFaultError as exc:
         print(f"numerical fault: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2

@@ -18,7 +18,9 @@ observables in one einsum), pre-measurement from the padded-ancilla
 R / CNOT / R^dag circuit as np.kron matrices (the package stacks one
 projected copy of the state per pointer value), and the audit's worst
 slacks from every (A, B, C) triple of bitmasks (the package walks
-unordered (A, C) pairs per B).  Agreement between the two routes is
+unordered (A, C) pairs per B), and state-file text from one json.dumps
+of a document with a [re, im] list per entry (the package dumps blocks
+of 4,096 rows and joins them).  Agreement between the two routes is
 the point of the tests.  Purity, the schema-checking document parser and
 the seeded random states are test-only tools.
 """
@@ -351,6 +353,15 @@ def deterministic_chsh_values() -> list:
     for a, ap, b, bp in product((-1, 1), repeat=4):
         vals.append(a * b - a * bp + ap * b + ap * bp)
     return vals
+
+
+def serialize_state_whole(state) -> str:
+    """serialize_state's text, from one [re, im] list per entry."""
+    pure = isinstance(state, PureState)
+    flat = state.amplitudes if pure else state.matrix.reshape(-1)
+    doc = {"kind": "pure" if pure else "density", "dims": list(state.dims),
+           "data": [[float(z.real), float(z.imag)] for z in flat]}
+    return json.dumps(doc) + "\n"
 
 
 def random_classical_density(rng, dims):

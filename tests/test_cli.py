@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from helpers import random_density
 from entroscope import (
-    DensityOperator, PureState, _pcg64, cli, epr_singlet, ghz, measurement, scenarios,
+    DensityOperator, PureState, _pcg64, cli, entropy, epr_singlet, ghz, measurement, scenarios,
 )
 from entroscope.cli import main
 from entroscope.measurement import MAX_SHOTS
@@ -606,6 +606,47 @@ def test_memory_error_while_loading_exits_2_with_one_line(tmp_path, capsys, monk
     monkeypatch.setattr(*target, out_of_memory)
     code, out, err = run_main(capsys, "audit", "--state", "rho.json")
     assert (code, out, err) == (2, "", "error: rho.json: too large to load into memory\n")
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("target, args", [
+    ((DensityOperator, "validate_psd"), ("audit", "--state", "rho.json")),
+    ((entropy, "partial_trace"), ("diagram", "--state", "rho.json", "--partition", "A=0;B=1")),
+    ((scenarios, "premeasure"), ("scenario", "epr_measure", "--theta1", "z", "--theta2", "x")),
+    ((scenarios, "chsh_values"), ("chsh",)),
+], ids=["audit-validate_psd", "diagram-partial_trace", "epr_measure-premeasure", "chsh"])
+def test_memory_error_past_the_reader_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
+                                                           fmt, target, args):
+    # the reader names the file it could not load; a MemoryError in the
+    # checks or the analysis after it ended in a traceback
+    (tmp_path / "rho.json").write_text(serialize_state(random_density((2, 2), seed=5)))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(*target, _out_of_memory)
+    assert run_main(capsys, *args, "--format", fmt) == (2, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_a_negative_marginal_past_the_clamp_exits_1(tmp_path, capsys, monkeypatch, fmt):
+    # each negative eigenvalue is inside the PSD clamp window, so the file
+    # loads; the first qubit's marginal sums two of them to -1.8e-10
+    rho = DensityOperator(np.diag([0.5, 0.5 + 1.8e-10, -0.9e-10, -0.9e-10]).astype(complex), (2, 2))
+    (tmp_path / "rho.json").write_text(serialize_state(rho))
+    monkeypatch.chdir(tmp_path)
+    assert run_main(capsys, "audit", "--state", "rho.json", "--format", fmt) == (
+        1, "", "numerical fault: eigenvalue -1.800e-10 below the PSD clamp window -1e-10: "
+               "non-physical state or numerical fault\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_audit_without_a_partition_caps_the_factor_count(tmp_path, capsys, monkeypatch, fmt):
+    (tmp_path / "ghz6.json").write_text(serialize_state(ghz(6)))
+    monkeypatch.chdir(tmp_path)
+    assert run_main(capsys, "audit", "--state", "ghz6.json", "--format", fmt) == (
+        2, "", "error: state has 6 factors; pass --partition to group them into at most 5 parties\n")
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])

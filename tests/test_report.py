@@ -125,6 +125,47 @@ def test_state_document_shape():
     assert all(len(pair) == 2 for pair in doc["data"])
 
 
+def _with_edge_values(state):
+    """The state with -0.0, the smallest subnormal and a 1e-300 imaginary
+    part in its first entries; a density keeps them Hermitian."""
+    if isinstance(state, PureState):
+        v = state.amplitudes.copy()
+        v[:4] = 0.0
+        v /= np.linalg.norm(v)
+        v[:4] = [-0.0, 5e-324, 1e-300j, complex(-0.0, -5e-324)]
+        return PureState(v, state.dims)
+    m = state.matrix.copy()
+    m[0, 1], m[1, 0] = complex(-0.0, 1e-300), complex(-0.0, -1e-300)
+    m[0, 2] = m[2, 0] = 5e-324
+    return DensityOperator(m, state.dims)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: epr_singlet(),
+    lambda: random_density((2, 2), seed=6),
+    lambda: random_pure((2,) * 12, seed=8),  # exactly one block of rows
+    lambda: _with_edge_values(random_pure((4097,), seed=9)),
+    lambda: _with_edge_values(random_pure((2,) * 13, seed=10)),
+    lambda: _with_edge_values(random_density((2,) * 7, seed=12)),
+], ids=["epr", "density4", "pure4096", "pure4097-edges", "pure8192-edges", "density16384-edges"])
+def test_serialize_state_matches_one_list_per_entry(make):
+    state = make()
+    assert serialize_state(state) == helpers.serialize_state_whole(state)
+
+
+def test_serialize_state_holds_no_python_object_per_entry():
+    # A 2**8-dim density: one list per entry held 4.6 times the text
+    rho = random_density((2,) * 8, seed=11)
+    size = len(serialize_state(rho))  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        serialize_state(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * size, f"peaked at {peak} bytes for {size} bytes of text"
+
+
 def test_load_state_error_messages(tmp_path):
     def write(doc):
         p = tmp_path / "state.json"
