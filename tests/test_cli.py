@@ -589,12 +589,13 @@ def test_state_file_over_the_size_bound_exits_2_before_any_read(tmp_path, capsys
     assert err == f"error: over.json: file size is over the limit of {MAX_BYTES} bytes\n"
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
 @pytest.mark.parametrize("step", ["read", "chunked parse", "whole parse"])
 def test_memory_error_while_loading_exits_2_with_one_line(tmp_path, capsys, monkeypatch, step):
     from entroscope import _statefile
-
-    def out_of_memory(*args, **kwargs):
-        raise MemoryError
 
     text = serialize_state(random_density((2, 2), seed=5))
     if step == "whole parse":  # another layout, read whole
@@ -603,13 +604,9 @@ def test_memory_error_while_loading_exits_2_with_one_line(tmp_path, capsys, monk
     monkeypatch.chdir(tmp_path)
     target = {"read": (Path, "read_text"), "chunked parse": (_statefile, "read_canonical"),
               "whole parse": (json, "loads")}[step]
-    monkeypatch.setattr(*target, out_of_memory)
+    monkeypatch.setattr(*target, _out_of_memory)
     code, out, err = run_main(capsys, "audit", "--state", "rho.json")
     assert (code, out, err) == (2, "", "error: rho.json: too large to load into memory\n")
-
-
-def _out_of_memory(*args, **kwargs):
-    raise MemoryError
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])

@@ -141,7 +141,7 @@ def _with_edge_values(state):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: epr_singlet(),
+    epr_singlet,
     lambda: random_density((2, 2), seed=6),
     lambda: random_pure((2,) * 12, seed=8),  # exactly one block of rows
     lambda: _with_edge_values(random_pure((4097,), seed=9)),
@@ -154,7 +154,7 @@ def test_serialize_state_matches_one_list_per_entry(make):
 
 
 def test_serialize_state_holds_no_python_object_per_entry():
-    # A 2**8-dim density: one list per entry held 4.6 times the text
+    # a 2**8-dim density: one list per entry held 4.6 times the text
     rho = random_density((2,) * 8, seed=11)
     size = len(serialize_state(rho))  # imports and caches outside the measurement
     tracemalloc.start()
