@@ -5,17 +5,18 @@ numpy.random.Generator(PCG64(SeedSequence(entropy, spawn_key=spawn_key)))
 .random(n), bit for bit, without importing numpy.random.  The seeding
 runs on Python ints.  The draw keeps _LANES consecutive 128-bit PCG
 states as (hi, lo) uint64 arrays and advances them all by one jump per
-block; array arithmetic wraps without a warning.  _LANES is the one block
-size of the package: draws, counts and scans all go one block at a time.
+block; array arithmetic wraps without a warning.  _LANES, the package's
+one block size, lives in linalg, which every command loads.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .linalg import _LANES
+
 _M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit multiplier
-_LANES = 4_096
 
 
 def _words(n: int) -> list[int]:

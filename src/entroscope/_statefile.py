@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import DensityOperator, PureState
+from .linalg import _LANES, DensityOperator, PureState
 
 # Largest total dimension a state file may declare: every route to a diagram
 # builds the dense 2**12 x 2**12 density matrix (256 MB) at this size.
@@ -130,5 +130,5 @@ def serialize_state(state: PureState | DensityOperator) -> str:
     flat = state.amplitudes if pure else state.matrix.reshape(-1)
     rows = np.ascontiguousarray(flat, dtype=complex).view(float).reshape(-1, 2)
     head = json.dumps({"kind": "pure" if pure else "density", "dims": list(state.dims)})[:-1]
-    data = ", ".join(json.dumps(rows[i:i + 4096].tolist())[1:-1] for i in range(0, len(rows), 4096))
+    data = ", ".join(json.dumps(rows[i:i + _LANES].tolist())[1:-1] for i in range(0, len(rows), _LANES))
     return f'{head}, "data": [{data}]}}\n'

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .errors import NumericalFaultError, ValidationError
-from .linalg import PSD_CLAMP, DensityOperator, PureState, _index, hermitian_eigenvalues, partial_trace
+from .linalg import PSD_CLAMP, DensityOperator, PureState, _Frozen, _index, hermitian_eigenvalues, partial_trace
 
 PROB_SUM_TOL = 1e-9
 ATOM_RESIDUAL_TOL = 1e-9
@@ -67,8 +66,7 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return s if s > 0.0 else 0.0
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
+class PartitionSpec(_Frozen):
     """Named, disjoint groups of tensor factors (1 to 5 parties).
 
     Whether the parties cover all factors of a state is checked where the
@@ -76,10 +74,10 @@ class PartitionSpec:
     state.
     """
 
-    parties: tuple[tuple[str, frozenset[int]], ...]
+    __slots__ = ("parties",)
 
-    def __post_init__(self):
-        parties = tuple((str(n), frozenset(map(_index, fs))) for n, fs in self.parties)
+    def __init__(self, parties: tuple[tuple[str, frozenset[int]], ...]):
+        parties = tuple((str(n), frozenset(map(_index, fs))) for n, fs in parties)
         if not 1 <= len(parties) <= MAX_PARTIES:
             raise ValidationError(f"need 1..{MAX_PARTIES} parties, got {len(parties)}")
         names = [n for n, _ in parties]
@@ -96,7 +94,7 @@ class PartitionSpec:
             if seen & fs:
                 raise ValidationError(f"party {name!r} overlaps another party")
             seen |= fs
-        object.__setattr__(self, "parties", parties)
+        self._set(parties)
 
     @classmethod
     def of(cls, **groups) -> "PartitionSpec":
@@ -240,8 +238,7 @@ def ternary_center(atoms: dict[Subset, float]) -> float:
     return atoms[parties]
 
 
-@dataclass(frozen=True)
-class InequalityAudit:
+class InequalityAudit(_Frozen):
     """Outcome of the entropy inequality checks on a joints map.
 
     Monotonicity can fail for quantum states and is reported, not raised.
@@ -249,10 +246,14 @@ class InequalityAudit:
     quantum state: a violation raises, so only their worst slacks remain,
     each None when no case was checked."""
 
-    monotonicity_violated: tuple[tuple[Subset, Subset], ...]
-    subadditivity_worst_slack: float | None
-    triangle_worst_slack: float | None
-    strong_subadditivity_worst_slack: float | None
+    __slots__ = ("monotonicity_violated", "subadditivity_worst_slack", "triangle_worst_slack",
+                 "strong_subadditivity_worst_slack")
+
+    def __init__(self, monotonicity_violated: tuple[tuple[Subset, Subset], ...],
+                 subadditivity_worst_slack: float | None, triangle_worst_slack: float | None,
+                 strong_subadditivity_worst_slack: float | None):
+        self._set(monotonicity_violated, subadditivity_worst_slack, triangle_worst_slack,
+                  strong_subadditivity_worst_slack)
 
 
 def audit_inequalities(joints: dict[Subset, float]) -> InequalityAudit:
@@ -309,14 +310,14 @@ def audit_inequalities(joints: dict[Subset, float]) -> InequalityAudit:
     )
 
 
-@dataclass(frozen=True)
-class DiagramBundle:
+class DiagramBundle(_Frozen):
     """One labeled diagram: party factors, joints, Venn atoms, audit."""
 
-    factors: dict[str, tuple[int, ...]]
-    joints: dict[Subset, float]
-    atoms: dict[Subset, float]
-    audit: InequalityAudit
+    __slots__ = ("factors", "joints", "atoms", "audit")
+
+    def __init__(self, factors: dict[str, tuple[int, ...]], joints: dict[Subset, float],
+                 atoms: dict[Subset, float], audit: InequalityAudit):
+        self._set(factors, joints, atoms, audit)
 
     @classmethod
     def of(cls, state, partition: PartitionSpec) -> "DiagramBundle":

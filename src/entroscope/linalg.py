@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +22,43 @@ HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 NORM_TOL = 1e-12
 PSD_CLAMP = -1e-10
+# The package's one block size, in entries: draws, counts, scans, dense passes.
+_LANES = 4_096
+_TILE = math.isqrt(_LANES)  # the side of a square tile of _LANES entries
+
+
+class _Frozen:
+    """An immutable value: __slots__ names the fields in constructor order,
+    and __init__ stores them once through _set.  Copy and pickle call the
+    constructor again, so its checks rerun and buffers stay read-only."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 def _index(value, what: str = "factor") -> int:
@@ -48,23 +84,24 @@ def _check_finite(a: np.ndarray, what: str) -> None:
 
 def _check_hermitian(m: np.ndarray, what: str) -> None:
     """Refuse a square m with a non-finite entry, or further than
-    HERMITIAN_TOL from its conjugate transpose."""
+    HERMITIAN_TOL from its conjugate transpose, taken a block of rows at a time."""
     _check_finite(m, what)
-    dev = float(np.max(np.abs(m - m.conj().T)))
+    rows = max(1, _LANES // max(1, len(m)))
+    dev = max(float(np.abs(m[i : i + rows] - np.conjugate(m[:, i : i + rows].T, order="C")).max())
+              for i in range(0, len(m), rows))
     if dev > HERMITIAN_TOL:
         raise ValidationError(f"hermitian check failed: max deviation {dev:.3e}")
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
+class PureState(_Frozen):
     """A normalized state vector over declared tensor factors."""
 
-    amplitudes: np.ndarray
-    dims: tuple[int, ...]
+    __slots__ = ("amplitudes", "dims")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # states compare by identity
 
-    def __post_init__(self):
-        dims = _as_dims(self.dims)
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
+    def __init__(self, amplitudes: np.ndarray, dims: tuple[int, ...]):
+        dims = _as_dims(dims)
+        amps = np.array(amplitudes, dtype=complex).reshape(-1)
         if amps.size != math.prod(dims):
             raise ValidationError(
                 f"{amps.size} amplitudes do not fill factor dims {list(dims)} "
@@ -77,8 +114,7 @@ class PureState:
                 f"squared norm = {norm2!r}, not 1 within {NORM_TOL}"
             )
         amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "dims", dims)
+        self._set(amps, dims)
 
     @property
     def num_factors(self) -> int:
@@ -94,8 +130,7 @@ class PureState:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
+class DensityOperator(_Frozen):
     """A Hermitian, unit-trace operator over declared tensor factors.
 
     Hermiticity and trace are checked on every construction.  Positive
@@ -105,12 +140,12 @@ class DensityOperator:
     eigendecomposition.
     """
 
-    matrix: np.ndarray
-    dims: tuple[int, ...]
+    __slots__ = ("matrix", "dims")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # states compare by identity
 
-    def __post_init__(self):
-        dims = _as_dims(self.dims)
-        mat = np.array(self.matrix, dtype=complex)
+    def __init__(self, matrix: np.ndarray, dims: tuple[int, ...]):
+        dims = _as_dims(dims)
+        mat = np.array(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"density matrix must be square, got shape {mat.shape}")
         d = math.prod(dims)
@@ -123,12 +158,21 @@ class DensityOperator:
         tr = complex(np.trace(mat))
         if not abs(tr - 1.0) <= TRACE_TOL:  # a trace summed to nan fails too
             raise ValidationError(f"trace = {tr.real:.6g} != 1 (tolerance {TRACE_TOL})")
-        # the exact Hermitian part: deviations a partial trace would add up
-        mat += mat.conj().T
-        mat *= 0.5
+        # the exact Hermitian part (m + m^H) * 0.5, one pair of tiles at a
+        # time: deviations a partial trace would add up.  Each tile is summed
+        # as written; the conjugate of its partner would flip signed zeros.
+        # C-ordered temporaries keep numpy's ufunc buffers to one tile.
+        for i in range(0, d, _TILE):
+            for j in range(i, d, _TILE):
+                a, b = mat[i : i + _TILE, j : j + _TILE], mat[j : j + _TILE, i : i + _TILE]
+                upper, lower = np.conjugate(b.T, order="C"), np.conjugate(a.T, order="C")
+                upper += a
+                lower += b
+                np.multiply(upper, 0.5, out=a)
+                np.multiply(lower, 0.5, out=b)
+                del upper, lower  # freed before the next pair's are made
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "dims", dims)
+        self._set(mat, dims)
 
     @property
     def num_factors(self) -> int:

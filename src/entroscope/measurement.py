@@ -9,13 +9,12 @@ reading the pointer factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .entropy import PartitionSpec, grouped_entropies
-from .linalg import PureState, _index
+from .linalg import PureState, _Frozen, _index
 from .states import axis_angle, basis_rotation, epr_singlet
 
 CLASSICAL_BOUND = 2.0
@@ -26,14 +25,13 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 MAX_SHOTS = 10**9
 
 
-@dataclass(frozen=True)
-class MeasurementSetup:
+class MeasurementSetup(_Frozen):
     """Which qubits get a pointer, in which basis, under which label."""
 
-    taps: tuple[tuple[int, float, str], ...]
+    __slots__ = ("taps",)
 
-    def __post_init__(self):
-        taps = tuple((_index(f), axis_angle(a), str(lbl)) for f, a, lbl in self.taps)
+    def __init__(self, taps: tuple[tuple[int, float, str], ...]):
+        taps = tuple((_index(f), axis_angle(a), str(lbl)) for f, a, lbl in taps)
         if not taps:
             raise ValidationError("a measurement setup needs at least one tap")
         factors = [f for f, _, _ in taps]
@@ -42,7 +40,7 @@ class MeasurementSetup:
         labels = [lbl for _, _, lbl in taps]
         if len(set(labels)) != len(labels):
             raise ValidationError(f"device labels must be distinct, got {labels}")
-        object.__setattr__(self, "taps", taps)
+        self._set(taps)
 
     @classmethod
     def of(cls, *taps) -> "MeasurementSetup":
@@ -72,9 +70,9 @@ def premeasure(state: PureState, setup: MeasurementSetup) -> PureState:
     t = state.amplitudes.reshape(state.dims)
     for factor, angle, _ in setup.taps:
         rot = basis_rotation(angle)
-        # P_b psi = |e_b> <e_b|psi> with <e_b| = rot[b]: amp[b] is <e_b|psi>
-        # on the tapped axis, and the b-th pointer slice is rot[b]^* x amp[b]
-        amp = np.tensordot(rot, t, axes=([1], [factor]))
+        # P_b psi = |e_b> <e_b|psi> with <e_b| = rot[b]: amp[b] is <e_b|psi> on the
+        # tapped axis, and the b-th pointer slice is rot[b]^* x amp[b]; einsum, not BLAS
+        amp = np.einsum("bi,i...->b...", rot, np.moveaxis(t, factor, 0))
         t = np.moveaxis(np.einsum("bi,b...->ib...", rot.conj(), amp), (0, 1), (factor, -1))
     return PureState(t.reshape(-1), state.dims + (2,) * len(setup.taps))
 

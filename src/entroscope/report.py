@@ -10,8 +10,8 @@ builds and checks the state it reads.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -58,7 +58,7 @@ def _emit(value, out: list[str]) -> None:
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))
     elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=False))
+        out.append(encode_basestring(value))  # json.dumps(value, ensure_ascii=False), no encoder built
     elif isinstance(value, (list, tuple)):
         out.append("[")
         for i, item in enumerate(value):
@@ -73,7 +73,7 @@ def _emit(value, out: list[str]) -> None:
                 out.append(", ")
             if not isinstance(k, str):
                 raise ValidationError(f"document keys must be strings, got {k!r}")
-            out.append(json.dumps(k, ensure_ascii=False))
+            out.append(encode_basestring(k))
             out.append(": ")
             _emit(v, out)
         out.append("}")

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import DiagramBundle, PartitionSpec, mutual_entropy, resum_joints, shannon_entropy
 from .errors import ValidationError
+from .linalg import _Frozen
 from .measurement import (
     CLASSICAL_BOUND,
     TSIRELSON_BOUND,
@@ -59,19 +59,17 @@ _ORTHODOX_ATOMS = {
 }
 
 
-@dataclass(frozen=True)
-class DiagramReport:
+class DiagramReport(_Frozen):
     """Everything one scenario run produced, ready for serialization."""
 
-    scenario: str
-    parameters: dict
-    seed: int | None = None
-    diagram: DiagramBundle | None = None
-    reduced: DiagramBundle | None = None
-    q_devices_mutual: float | None = None
-    sampled: dict | None = None
-    orthodox: dict | None = None
-    chsh: dict | None = None
+    __slots__ = ("scenario", "parameters", "seed", "diagram", "reduced", "q_devices_mutual", "sampled",
+                 "orthodox", "chsh")
+
+    def __init__(self, scenario: str, parameters: dict, seed: int | None = None,
+                 diagram: DiagramBundle | None = None, reduced: DiagramBundle | None = None,
+                 q_devices_mutual: float | None = None, sampled: dict | None = None,
+                 orthodox: dict | None = None, chsh: dict | None = None):
+        self._set(scenario, parameters, seed, diagram, reduced, q_devices_mutual, sampled, orthodox, chsh)
 
 
 def run_epr_pair() -> DiagramReport:

@@ -20,7 +20,9 @@ projected copy of the state per pointer value), and the audit's worst
 slacks from every (A, B, C) triple of bitmasks (the package walks
 unordered (A, C) pairs per B), and state-file text from one json.dumps
 of a document with a [re, im] list per entry (the package dumps blocks
-of 4,096 rows and joins them).  Agreement between the two routes is
+of 4,096 rows and joins them), and a density operator's Hermitian part
+from one (m + m^H) * 0.5 (the package sums it one pair of tiles at a
+time).  Agreement between the two routes is
 the point of the tests.  Purity, the schema-checking document parser and
 the seeded random states are test-only tools.
 """
@@ -362,6 +364,12 @@ def serialize_state_whole(state) -> str:
     doc = {"kind": "pure" if pure else "density", "dims": list(state.dims),
            "data": [[float(z.real), float(z.imag)] for z in flat]}
     return json.dumps(doc) + "\n"
+
+
+def hermitian_part(m) -> np.ndarray:
+    """The matrix DensityOperator stores for m, in one expression."""
+    m = np.asarray(m, dtype=complex)
+    return (m + m.conj().T) * 0.5
 
 
 def random_classical_density(rng, dims):

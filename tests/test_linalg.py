@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +92,53 @@ def test_density_validation_messages():
         DensityOperator(np.diag([1e308, 1e308, -1e308, -1e308]), (2, 2))
     with pytest.raises(ValidationError, match="does not match factor dims"):
         DensityOperator(np.eye(4) / 4.0, (2,))
+
+
+def _off_hermitian(d: int, seed: int) -> np.ndarray:
+    """A unit-trace d x d matrix up to 2.9e-13 from Hermitian, with exact
+    and signed zeros among its imaginary parts."""
+    rng = np.random.default_rng(seed)
+    m = 1e-13 * (rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d)))
+    m.imag[rng.random((d, d)) < 0.25] = -0.0
+    m[rng.random((d, d)) < 0.25] = 0.0
+    np.fill_diagonal(m, rng.random(d))
+    m[0, 0] += 1.0 - m.trace()
+    return m
+
+
+@pytest.mark.parametrize("d", [2, 63, 64, 65, 130, 256])
+def test_density_matrix_is_the_hermitian_part_bit_for_bit(d):
+    # tiles of 64 x 64 and row blocks of 4096 // d rows: sizes on and off their edges
+    m = _off_hermitian(d, seed=d)
+    rho = DensityOperator(m, (d,))
+    assert rho.matrix.tobytes() == helpers.hermitian_part(m).tobytes()
+    assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+    assert not rho.matrix.flags.writeable and rho.matrix is not m
+
+
+@pytest.mark.parametrize("d", [2, 65, 256])
+def test_hermitian_deviation_is_the_whole_matrix_maximum(d):
+    m = _off_hermitian(d, seed=d + 1)
+    m[d - 1, d // 3] += 3e-9
+    m[d // 2, 0] -= 2e-9j
+    dev = float(np.max(np.abs(m - m.conj().T)))
+    for call in (lambda: DensityOperator(m, (d,)), lambda: hermitian_eig(m)):
+        with pytest.raises(ValidationError, match=re.escape(f"max deviation {dev:.3e}")):
+            call()
+
+
+def test_density_construction_holds_one_copy_of_the_matrix():
+    # the copy of the caller's array, plus tiles; four matrices at 2**8 before
+    m = random_density((2,) * 8, seed=5).matrix.copy()
+    DensityOperator(m, (2,) * 8)
+    tracemalloc.start()
+    try:
+        rho = DensityOperator(m, (2,) * 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho.matrix.nbytes == m.nbytes
+    assert peak <= 1.25 * m.nbytes, f"peaked at {peak / m.nbytes:.2f} matrices"
 
 
 def test_density_psd_is_checked_on_demand():

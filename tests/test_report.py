@@ -59,6 +59,17 @@ def test_serialized_numbers_have_nine_digits():
     assert serialize_document({"a": -1e-10}) == '{"a": 0.000000000}'
 
 
+_AWKWARD_STRINGS = ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "orthodox — expectation",
+                    "lone \ud800 surrogate", "", "\u2028\u2029", "é/ü"]
+
+
+@pytest.mark.parametrize("s", _AWKWARD_STRINGS)
+def test_strings_serialize_as_json_dumps_writes_them(s):
+    # keys and string values skip json.dumps, which builds an encoder per call
+    assert serialize_document({s: s}) == "{%s: %s}" % ((json.dumps(s, ensure_ascii=False),) * 2)
+    assert serialize_document([s, [s]]) == "[{0}, [{0}]]".format(json.dumps(s, ensure_ascii=False))
+
+
 def test_serialize_parse_round_trip():
     doc = report_document(run_epr_pair())
     assert helpers.parse_document(serialize_document(doc)) == doc

@@ -41,8 +41,8 @@ def test_state_commands_leave_the_scenario_modules_unloaded(command):
         "from entroscope import cli\n"
         f"rc = cli.main([{command!r}, '--state', 'states/pure4.json',\n"
         "               '--partition', 'A=0;B=1;C=2,3', '--format', 'json'])\n"
-        "mods = ('scenarios', 'measurement', 'states')\n"
-        "print(rc, [m for m in mods if 'entroscope.' + m in sys.modules],\n"
+        "mods = ('entroscope.scenarios', 'entroscope.measurement', 'entroscope.states', 'dataclasses')\n"
+        "print(rc, [m for m in mods if m in sys.modules],\n"
         "      'entroscope._statefile' in sys.modules, file=sys.stderr)\n"
     )
     res = _python_text("-c", code, cwd=GOLDEN)
@@ -65,7 +65,7 @@ def test_sampled_commands_leave_numpy_random_unloaded(argv, stream):
         "import sys\n"
         "from entroscope import cli\n"
         f"rc = cli.main({argv!r})\n"
-        "mods = ('numpy.random', 'secrets', '_hashlib', 'entroscope._statefile')\n"
+        "mods = ('numpy.random', 'secrets', '_hashlib', 'entroscope._statefile', 'dataclasses')\n"
         "print(rc, 'entroscope._pcg64' in sys.modules, [m for m in mods if m in sys.modules],\n"
         "      file=sys.stderr)\n"
     )
@@ -86,6 +86,36 @@ def test_no_library_module_uses_numpy_random():
             else:
                 continue
             uses += [f"{path.name}:{node.lineno}" for n in names if re.match(r"(np|numpy)\.random\b", n)]
+    assert uses == []
+
+
+def test_no_library_module_imports_dataclasses():
+    # the value classes are written out on linalg._Frozen: a dataclass
+    # builds its methods from generated source at every import
+    uses = []
+    for path in sorted((SRC / "entroscope").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            uses += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "dataclasses"]
+    assert uses == []
+
+
+def test_no_library_module_calls_a_blas_product():
+    # a two-term pointer tap or a 2x2 product in einsum needs no BLAS
+    # kernels paged in; LAPACK's eigensolver is the one library call
+    uses = []
+    for path in sorted((SRC / "entroscope").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = ast.unparse(node.func) if isinstance(node, ast.Call) else ""
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                name = "@"
+            if name == "@" or re.search(r"\b(tensordot|dot|vdot|inner|matmul|kron)$", name):
+                uses.append(f"{path.name}:{node.lineno} {name}")
     assert uses == []
 
 
