@@ -1,6 +1,7 @@
 """Process entry for `python -m entroscope` and the `entroscope` script."""
 
 import gc
+import os
 import signal
 import sys
 
@@ -22,7 +23,13 @@ def run() -> int:
     finally:
         gc.freeze()
         gc.enable()
-    return main()
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:  # reported by main; Python's flush at exit would fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

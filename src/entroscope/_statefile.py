@@ -7,6 +7,7 @@ time.  Imports nothing from report; scenario and chsh never compile it."""
 import json
 import math
 from pathlib import Path
+from stat import S_ISREG
 
 import numpy as np
 
@@ -109,10 +110,23 @@ def read_state(path) -> tuple[str, list, np.ndarray]:
     """Kind, dims and complex entries of a state file; the file's text is
     dropped on return.  Every failure is one ValidationError line."""
     p = Path(path)
+    too_large = ValidationError(f"{p}: file size is over the limit of {MAX_BYTES} bytes")
     try:
-        if p.stat().st_size > MAX_BYTES:
-            raise ValidationError(f"{p}: file size is over the limit of {MAX_BYTES} bytes")
-        raw = p.read_text(encoding="utf-8")
+        st = p.stat()
+        if st.st_size > MAX_BYTES:
+            raise too_large
+        with p.open("rb") as f:
+            # a device or a pipe reports no size, so it is read a chunk at a
+            # time to past the cap: read(n) would allocate all n bytes at once
+            data = f.read() if S_ISREG(st.st_mode) else bytearray()
+            while len(data) <= MAX_BYTES and (chunk := f.read(2**14)):
+                data += chunk
+        if len(data) > MAX_BYTES:
+            raise too_large
+        raw = data.decode("utf-8")  # one call: error offsets count from the file's start
+        del data
+        if "\r" in raw:  # the newlines text mode reads as "\n"
+            raw = raw.replace("\r\n", "\n").replace("\r", "\n")
         return read_canonical(raw, p) or _read_whole(p, raw)
     except OSError as exc:
         raise ValidationError(f"{p}: cannot read: {exc}") from exc

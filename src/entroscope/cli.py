@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 2 for anything wrong with the input (bad
-flags, malformed files, invalid angles or partitions) or out of memory,
-1 for an internal numerical fault.  Data goes to stdout, messages to stderr.
+flags, malformed files, invalid angles or partitions), out of memory or
+output that cannot be written, 1 for an internal numerical fault.  Data
+goes to stdout, messages to stderr.
 """
 
 from __future__ import annotations
@@ -100,6 +101,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValidationError(message)
 
+    def _print_message(self, message, file=None):
+        # argparse's own drops an OSError, and --version then exited 0 with
+        # its line lost; flushed here, a failed write is main's to report
+        if message:
+            print(message, end="", file=file or sys.stderr, flush=True)
+
 
 def _join_negative_angles(argv) -> list[str]:
     """["--theta1", "-1e-3"] -> ["--theta1=-1e-3"]; argparse would take a
@@ -165,10 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_doc(doc: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(serialize_document(doc))
-    else:
-        print(render_report_table(doc))
+    # flushed here, so a full disk is main's one error line, not a traceback at exit
+    print(serialize_document(doc) if fmt == "json" else render_report_table(doc), flush=True)
 
 
 def _cmd_scenario(args) -> int:
@@ -237,4 +242,7 @@ def main(argv=None) -> int:
         return 1
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
+        return 2
+    except OSError as exc:  # writing stdout; the reader turns its own into ValidationError
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         return 2

@@ -119,10 +119,7 @@ class PartitionSpec(_Frozen):
 
 
 def _canonical_subsets(names: tuple[str, ...]) -> list[Subset]:
-    out: list[Subset] = []
-    for r in range(1, len(names) + 1):
-        out.extend(combinations(names, r))
-    return out
+    return [u for r in range(1, len(names) + 1) for u in combinations(names, r)]
 
 
 def joint_entropies(

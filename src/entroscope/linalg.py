@@ -216,11 +216,11 @@ def hermitian_eig(m) -> np.ndarray:
     """Eigenvalues of a complex Hermitian matrix by LAPACK (numpy), ascending.
 
     LAPACK reads one triangle only, so the input is checked here first:
-    square, finite, and Hermitian within HERMITIAN_TOL.
+    square and nonempty, finite, and Hermitian within HERMITIAN_TOL.
     """
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ValidationError(f"expected a nonempty square matrix, got shape {a.shape}")
     _check_hermitian(a, "matrix")
     try:
         return np.linalg.eigvalsh(a)

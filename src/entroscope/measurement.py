@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ValidationError
 from .entropy import PartitionSpec, grouped_entropies
 from .linalg import PureState, _Frozen, _index
-from .states import axis_angle, basis_rotation, epr_singlet
+from .states import axis_angle, basis_rotation
 
 CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -164,16 +164,12 @@ def sample_records(post: PureState, setup: MeasurementSetup, shots: int, seed: i
 
 def _correlators(left, right) -> np.ndarray:
     """e[n, p, q] = <M(left[n, p]) x M(right[n, q])> on the singlet, for
-    (N, P) and (N, Q) angle arrays: one einsum over real (2, 2) observables."""
-    psi = epr_singlet().amplitudes.reshape(2, 2)
-    obs = []
-    for angles in (left, right):
-        cos, sin = np.cos(angles), np.sin(angles)
-        # o[n, i] = spin_observable(angles[n, i]) = cos * PAULI_Z + sin * PAULI_X
-        o = np.empty(angles.shape + (2, 2))
-        o[..., 0, 0], o[..., 0, 1], o[..., 1, 0], o[..., 1, 1] = cos, sin, sin, -cos
-        obs.append(o)
-    return np.einsum("ij,npik,nqjl,kl->npq", psi.conj(), obs[0], obs[1], psi).real
+    (N, P) and (N, Q) angle arrays: E(x, y) = -cos(x - y) (Bell 1964),
+    written as -(cos x cos y + sin x sin y), since x - y overflows to inf
+    for angles near the float range and the cosine of inf is nan."""
+    cl, sl = np.cos(left)[:, :, None], np.sin(left)[:, :, None]
+    cr, sr = np.cos(right)[:, None, :], np.sin(right)[:, None, :]
+    return -(cl * cr + sl * sr)
 
 
 def correlator(theta_1: float, theta_2: float) -> float:

@@ -181,17 +181,13 @@ def load_state(path) -> PureState | DensityOperator:
 
 def _region_label(subset: tuple[str, ...], parties: tuple[str, ...]) -> str:
     rest = [prt for prt in parties if prt not in subset]
-    if not rest:
-        return ":".join(subset)
-    return ":".join(subset) + "|" + ",".join(rest)
+    return ":".join(subset) + ("|" + ",".join(rest) if rest else "")
 
 
 def _two_columns(rows, label_head: str, value_head: str, spec: str) -> list[str]:
-    width = max([len(label_head), *(len(label) for label, _ in rows)])
-    lines = [f"{label_head:<{width}}  {value_head}"]
-    for label, value in rows:
-        lines.append(f"{label:<{width}}  {value:{spec}}")
-    return lines
+    rows = [(label_head, value_head), *((label, format(value, spec)) for label, value in rows)]
+    width = max(len(label) for label, _ in rows)
+    return [f"{label:<{width}}  {value}" for label, value in rows]
 
 
 def _atoms_table(atoms: dict[str, float], parties) -> list[str]:
@@ -204,21 +200,13 @@ def _atoms_table(atoms: dict[str, float], parties) -> list[str]:
 
 
 def _audit_lines(audit: dict) -> list[str]:
-    lines = []
-    mono = audit["monotonicity_violated"]
-    if mono:
-        pairs = ", ".join(f"S({m['subset']}) > S({m['superset']})" for m in mono)
-        lines.append(f"monotonicity violations: {pairs}")
-    else:
-        lines.append("monotonicity violations: none")
+    pairs = ", ".join(f"S({m['subset']}) > S({m['superset']})" for m in audit["monotonicity_violated"])
+    lines = [f"monotonicity violations: {pairs or 'none'}"]
     for name in ("subadditivity", "triangle", "strong_subadditivity"):
         # a violation raises before any document exists, so a slack means ok
         slack = audit[f"{name}_worst_slack"]
         label = name.replace("_", " ")
-        if slack is None:
-            lines.append(f"{label}: not applicable")
-        else:
-            lines.append(f"{label}: ok (worst slack {slack:.9f})")
+        lines.append(f"{label}: not applicable" if slack is None else f"{label}: ok (worst slack {slack:.9f})")
     return lines
 
 
@@ -226,13 +214,9 @@ def _diagram_lines(title: str, block: dict) -> list[str]:
     factors = "  ".join(
         f"{name}={','.join(str(f) for f in fs)}" for name, fs in block["factors"].items()
     )
-    lines = [title, f"parties: {factors}", ""]
-    lines += _two_columns(block["joints"].items(), "subset", "entropy (bits)", ".9f")
-    lines.append("")
-    lines += _atoms_table(block["atoms"], block["parties"])
-    lines.append("")
-    lines += _audit_lines(block["audit"])
-    return lines
+    return [title, f"parties: {factors}", "",
+            *_two_columns(block["joints"].items(), "subset", "entropy (bits)", ".9f"), "",
+            *_atoms_table(block["atoms"], block["parties"]), "", *_audit_lines(block["audit"])]
 
 
 def render_report_table(doc: dict) -> str:
@@ -240,12 +224,9 @@ def render_report_table(doc: dict) -> str:
     lines: list[str] = []
     if "scenario" in doc:
         lines.append(f"scenario: {doc['scenario']}")
-        params = doc.get("parameters") or {}
+        params = "  ".join(f"{k}={_param_str(v)}" for k, v in (doc.get("parameters") or {}).items())
         if params:
-            lines.append(
-                "parameters: "
-                + "  ".join(f"{k}={_param_str(v)}" for k, v in params.items())
-            )
+            lines.append(f"parameters: {params}")
         if doc.get("seed") is not None:
             lines.append(f"seed: {doc['seed']}")
     elif "state_file" in doc:
@@ -255,8 +236,7 @@ def render_report_table(doc: dict) -> str:
         if doc.get(key):
             lines += ["", *_diagram_lines(title, doc[key])]
     if doc.get("ternary_center") is not None:
-        lines.append("")
-        lines.append(f"ternary center: {doc['ternary_center']:+.9f}")
+        lines += ["", f"ternary center: {doc['ternary_center']:+.9f}"]
     if doc.get("q_devices_mutual") is not None:
         lines.append(f"quantum:devices mutual: {doc['q_devices_mutual']:.9f}")
     for key, block_lines in (("sampled", _sampled_lines), ("orthodox", _orthodox_lines),
@@ -278,17 +258,14 @@ def _sampled_lines(block: dict) -> list[str]:
     lines = [f"sampled: shots={block['shots']} seed={block['seed']}"]
     counts = "  ".join(f"{k}:{v}" for k, v in block["counts"].items())
     lines.append(f"counts: {counts}")
-    for key, value in block["entropies"].items():
-        lines.append(f"H({key}) = {value:.9f}")
+    lines += [f"H({key}) = {value:.9f}" for key, value in block["entropies"].items()]
     lines.append(f"empirical mutual = {block['mutual']:.9f} (exact {block['exact_mutual']:.9f})")
     return lines
 
 
 def _orthodox_lines(block: dict) -> list[str]:
-    lines = [f"orthodox reference ({block['case']}): {block['label']}"]
-    lines += _atoms_table(block["atoms"], block["parties"])
-    lines.append(f"warning: {block['warning']}")
-    return lines
+    return [f"orthodox reference ({block['case']}): {block['label']}",
+            *_atoms_table(block["atoms"], block["parties"]), f"warning: {block['warning']}"]
 
 
 def _chsh_lines(block: dict) -> list[str]:

@@ -38,8 +38,8 @@ ORTHODOX_WARNING = (
     "the same particle at once; no five-variable classical model supports both"
 )
 _ORTHODOX_MATCH_TOL = 1e-6
-# Longest accepted scan: about 3.5 minutes at the ~2.1 us per point measured
-# on a 2-vCPU host.  Without a cap a mistyped N runs for years.
+# Longest accepted scan: about 40 s at the ~0.4 us per point measured
+# through the CLI on a 2-vCPU host.  Without a cap a mistyped N runs for years.
 MAX_SCAN_POINTS = 10**8
 
 # Textbook expectations for the two device arrangements, as static data.
@@ -256,8 +256,8 @@ def run_chsh(
 
         best = 0.0
         # one block of lanes holds a whole number of quadruples, so angles,
-        # observables and correlators stay flat in N; 2 pi * u has the bits
-        # of Generator.uniform(0, 2 pi)
+        # their cosines and sines, and correlators stay flat in N; 2 pi * u
+        # has the bits of Generator.uniform(0, 2 pi)
         for u in uniforms(seed, 4 * scan_points):
             quads = 2.0 * math.pi * u.reshape(-1, 4)
             best = max(best, float(np.max(np.abs(chsh_values(quads)))))

@@ -13,8 +13,8 @@ from Faddeev-LeVerrier trace recursion (no eigensolver at all), sampled
 records from a per-shot loop over one Generator.choice call on the same
 seeded stream (the package inverts the cumulative distribution itself,
 block by block, into one outcome array), singlet correlators from the
-dense 4x4 operator np.kron builds (the package contracts 2x2
-observables in one einsum), pre-measurement from the padded-ancilla
+dense 4x4 operator np.kron builds (the package evaluates the closed
+form -cos(x - y)), pre-measurement from the padded-ancilla
 R / CNOT / R^dag circuit as np.kron matrices (the package stacks one
 projected copy of the state per pointer value), and the audit's worst
 slacks from every (A, B, C) triple of bitmasks (the package walks

@@ -325,6 +325,8 @@ _HUGE_INT = "1" + "0" * 400  # a valid JSON integer, too large for a float
 @pytest.mark.parametrize("fmt", ["json", "table"])
 @pytest.mark.parametrize("content, message", [
     (b'\xff\xfe{"kind": "pure"}', "not UTF-8 text: invalid start byte at byte 0"),
+    # past 64 KiB the offset still counts from the start of the file
+    (b" " * 70_000 + b"\xff", "not UTF-8 text: invalid start byte at byte 70000"),
     (f'{{"kind": "pure", "dims": [2], "data": [[{_HUGE_INT}, 0], [0, 0]]}}'.encode(),
      "data[0]: number too large for a float"),
     (b'{"kind": "pure", "dims": [2], "data": [[true, false], [0, 0]]}', "data[0]: expected [re, im]"),
@@ -589,6 +591,31 @@ def test_state_file_over_the_size_bound_exits_2_before_any_read(tmp_path, capsys
     assert err == f"error: over.json: file size is over the limit of {MAX_BYTES} bytes\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_an_unsized_input_is_refused_at_the_size_bound(fmt):
+    # /dev/zero reports st_size 0 and never ends, and was read until memory
+    # ran out; the child's address space is capped so a regression fails
+    # here instead of exhausting the host
+    import resource
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    code = ("import sys\n"
+            "from entroscope import _statefile\n"
+            "_statefile.MAX_BYTES = 2**16\n"
+            "from entroscope.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    res = subprocess.run(
+        [sys.executable, "-c", code, "diagram", "--state", "/dev/zero", "--partition", "A=0",
+         "--format", fmt],
+        capture_output=True, text=True, timeout=120, preexec_fn=cap_memory,
+    )
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == f"error: /dev/zero: file size is over the limit of {2**16} bytes\n"
+
+
 def _out_of_memory(*args, **kwargs):
     raise MemoryError
 
@@ -602,7 +629,7 @@ def test_memory_error_while_loading_exits_2_with_one_line(tmp_path, capsys, monk
         text = json.dumps(json.loads(text), indent=2)
     (tmp_path / "rho.json").write_text(text)
     monkeypatch.chdir(tmp_path)
-    target = {"read": (Path, "read_text"), "chunked parse": (_statefile, "read_canonical"),
+    target = {"read": (Path, "open"), "chunked parse": (_statefile, "read_canonical"),
               "whole parse": (json, "loads")}[step]
     monkeypatch.setattr(*target, _out_of_memory)
     code, out, err = run_main(capsys, "audit", "--state", "rho.json")
@@ -696,6 +723,26 @@ def test_version_goes_to_stdout_with_exit_0(capsys):
     from entroscope import __version__
 
     assert run_main(capsys, "--version") == (0, f"entroscope {__version__}\n", "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [
+    ("scenario", "epr_pair", "--format", "json"),
+    ("scenario", "epr_pair", "--format", "table"),
+    ("--version",),
+])
+def test_output_that_cannot_be_written_exits_2_with_one_line(args, buffered):
+    # a full disk printed a traceback and exited 1, and --version exited 0
+    # with its line lost; a buffered stdout fails at the flush, an
+    # unbuffered one at the write
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "ENTROSCOPE_SEED")}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        res = subprocess.run([sys.executable, "-m", "entroscope", *args], stdout=full,
+                             stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert (res.returncode, res.stderr) == (2, "error: cannot write output: No space left on device\n")
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])

@@ -274,6 +274,12 @@ def test_eig_rejects_non_hermitian():
         hermitian_eig(np.zeros((2, 3)))
 
 
+def test_eig_rejects_an_empty_matrix():
+    for m in (np.zeros((0, 0)), np.zeros((0, 3))):
+        with pytest.raises(ValidationError, match=r"nonempty square matrix, got shape \(0, \d\)"):
+            hermitian_eig(m)
+
+
 def test_density_eigenvalues_sum_to_one():
     for seed in range(10):
         rho = random_density((2, 2, 2), seed=seed)

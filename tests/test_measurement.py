@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -365,8 +365,9 @@ def test_chsh_deterministic_strategies_respect_bound():
 
 @pytest.mark.parametrize("n", [1, 2, 257])
 def test_chsh_values_match_scalar_chsh_value(n):
-    # chsh_values, chsh_value and correlator share one kernel; the oracle
-    # builds each 4x4 operator with np.kron instead
+    # chsh_values, chsh_value and correlator share the closed form
+    # -(cos x cos y + sin x sin y); the oracle builds each 4x4 operator
+    # with np.kron and applies it to the singlet's amplitudes instead
     rng = np.random.default_rng(1000 + n)
     quads = rng.uniform(-4 * math.pi, 4 * math.pi, size=(n, 4))
     values = chsh_values(quads)
@@ -378,6 +379,22 @@ def test_chsh_values_match_scalar_chsh_value(n):
         oracle = e(a, b) - e(a, bp) + e(ap, b) + e(ap, bp)
         assert v == pytest.approx(oracle, abs=1e-12)
         assert chsh_value(a, ap, b, bp) == pytest.approx(oracle, abs=1e-12)
+
+
+_HUGE = st.floats(1e300, 1.7976931348623157e308)
+_ANGLES = st.one_of(st.floats(-100.0, 100.0), st.floats(allow_nan=False, allow_infinity=False),
+                    _HUGE, _HUGE.map(lambda x: -x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(quads=st.lists(st.tuples(_ANGLES, _ANGLES, _ANGLES, _ANGLES), min_size=1, max_size=8))
+@example(quads=[(0.0, 1e308, -1e308, 0.0)])  # a - b overflows to inf here
+def test_chsh_values_agree_with_the_kron_oracle_at_any_finite_angle(quads):
+    values = chsh_values(quads)
+    assert values.shape == (len(quads),) and np.isfinite(values).all()
+    e = helpers.singlet_correlator_kron
+    for (a, ap, b, bp), v in zip(quads, values):
+        assert abs(v - (e(a, b) - e(a, bp) + e(ap, b) + e(ap, bp))) <= 1e-14
 
 
 def test_chsh_values_rejects_bad_shape():
