@@ -2,13 +2,15 @@
 
 Exit codes: 0 on success, 2 for anything wrong with the input (bad
 flags, malformed files, invalid angles or partitions), out of memory or
-output that cannot be written, 1 for an internal numerical fault.  Data
-goes to stdout, messages to stderr.
+output that cannot be written (a closed stdout included), 1 for an
+internal numerical fault.  Data goes to stdout, messages to stderr; a
+message stderr cannot take is dropped, and the exit code stands.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -103,9 +105,10 @@ class _Parser(argparse.ArgumentParser):
 
     def _print_message(self, message, file=None):
         # argparse's own drops an OSError, and --version then exited 0 with
-        # its line lost; flushed here, a failed write is main's to report
+        # its line lost.  Only --help and --version print here, to
+        # sys.stdout, so a None file is a closed stdout, not stderr's cue.
         if message:
-            print(message, end="", file=file or sys.stderr, flush=True)
+            _write(message, file)
 
 
 def _join_negative_angles(argv) -> list[str]:
@@ -171,9 +174,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _write(text: str, stream) -> None:
+    """Write text to stream and flush it, so a full disk is main's one error
+    line, not a traceback at exit.  Python sets a stream to None when its
+    descriptor was closed at start; that is a failed write too."""
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    stream.write(text)
+    stream.flush()
+
+
 def _emit_doc(doc: dict, fmt: str) -> None:
-    # flushed here, so a full disk is main's one error line, not a traceback at exit
-    print(serialize_document(doc) if fmt == "json" else render_report_table(doc), flush=True)
+    _write((serialize_document(doc) if fmt == "json" else render_report_table(doc)) + "\n", sys.stdout)
+
+
+def _fail(line: str, code: int) -> int:
+    """Print line on stderr and return code.  A line stderr cannot take is
+    dropped: it never goes to stdout, and the code stays what it was."""
+    try:
+        _write(line + "\n", sys.stderr)
+    except OSError:
+        pass
+    return code
 
 
 def _cmd_scenario(args) -> int:
@@ -235,14 +257,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help and --version print to stdout and exit 0
         return int(exc.code or 0)
     except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"error: {exc}", 2)
     except NumericalFaultError as exc:
-        print(f"numerical fault: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"numerical fault: {exc}", 1)
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return 2
+        return _fail("error: out of memory", 2)
     except OSError as exc:  # writing stdout; the reader turns its own into ValidationError
-        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
-        return 2
+        return _fail(f"error: cannot write output: {exc.strerror or exc}", 2)

@@ -39,6 +39,11 @@ def shannon_entropy(probabilities) -> float:
     total = float(p.sum())
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise ValidationError(f"probabilities sum to {total!r}, not 1")
+    return _entropy_bits(p)
+
+
+def _entropy_bits(p: np.ndarray) -> float:
+    """-sum p_i log2 p_i over the positive entries of p, never below 0."""
     nz = p[p > 0.0]
     s = float(-(nz * np.log2(nz)).sum())
     return s if s > 0.0 else 0.0
@@ -59,11 +64,10 @@ def clamp_spectrum(eigenvalues) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
-    """S(rho) = -sum lambda_i log2 lambda_i over the clamped spectrum."""
-    lam = clamp_spectrum(hermitian_eigenvalues(rho.matrix))
-    nz = lam[lam > 0.0]
-    s = float(-(nz * np.log2(nz)).sum())
-    return s if s > 0.0 else 0.0
+    """S(rho) = -sum lambda_i log2 lambda_i over the clamped spectrum; not
+    shannon_entropy, whose 1e-9 sum check fails a valid state with a dozen
+    eigenvalues clamped up from -1e-10."""
+    return _entropy_bits(clamp_spectrum(hermitian_eigenvalues(rho.matrix)))
 
 
 class PartitionSpec(_Frozen):

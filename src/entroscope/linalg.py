@@ -29,13 +29,16 @@ _TILE = math.isqrt(_LANES)  # the side of a square tile of _LANES entries
 
 class _Frozen:
     """An immutable value: __slots__ names the fields in constructor order,
-    and __init__ stores them once through _set.  Copy and pickle call the
-    constructor again, so its checks rerun and buffers stay read-only."""
+    and __init__ stores them once through _set, which marks ndarray fields
+    read-only.  Copy and pickle call the constructor again, so its checks
+    rerun."""
 
     __slots__ = ()
 
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values, strict=True):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
             object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
@@ -93,11 +96,50 @@ def _check_hermitian(m: np.ndarray, what: str) -> None:
         raise ValidationError(f"hermitian check failed: max deviation {dev:.3e}")
 
 
-class PureState(_Frozen):
+def _hermitian_part(mat: np.ndarray) -> np.ndarray:
+    """Overwrite square mat with its exact Hermitian part (m + m^H) * 0.5 and
+    return it, one pair of tiles at a time: deviations a partial trace would add
+    up.  Each tile is summed as written; the conjugate of its partner would flip
+    signed zeros.  C-ordered temporaries keep numpy's ufunc buffers to one tile."""
+    d = len(mat)
+    for i in range(0, d, _TILE):
+        for j in range(i, d, _TILE):
+            a, b = mat[i : i + _TILE, j : j + _TILE], mat[j : j + _TILE, i : i + _TILE]
+            upper, lower = np.conjugate(b.T, order="C"), np.conjugate(a.T, order="C")
+            upper += a
+            lower += b
+            np.multiply(upper, 0.5, out=a)
+            np.multiply(lower, 0.5, out=b)
+            del upper, lower  # freed before the next pair's are made
+    return mat
+
+
+class _State(_Frozen):
+    """A state: its array, then its dims; states compare by identity.  _of
+    builds one, unchecked and uncopied, from values derived from a checked state."""
+
+    __slots__ = ()
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    @classmethod
+    def _of(cls, *fields):
+        state = object.__new__(cls)
+        state._set(*fields)
+        return state
+
+    @property
+    def num_factors(self) -> int:
+        return len(self.dims)
+
+    @property
+    def dim(self) -> int:
+        return math.prod(self.dims)
+
+
+class PureState(_State):
     """A normalized state vector over declared tensor factors."""
 
     __slots__ = ("amplitudes", "dims")
-    __eq__, __hash__ = object.__eq__, object.__hash__  # states compare by identity
 
     def __init__(self, amplitudes: np.ndarray, dims: tuple[int, ...]):
         dims = _as_dims(dims)
@@ -113,35 +155,29 @@ class PureState(_Frozen):
             raise ValidationError(
                 f"squared norm = {norm2!r}, not 1 within {NORM_TOL}"
             )
-        amps.setflags(write=False)
         self._set(amps, dims)
 
-    @property
-    def num_factors(self) -> int:
-        return len(self.dims)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
     def to_density(self) -> DensityOperator:
-        return DensityOperator(
-            np.outer(self.amplitudes, self.amplitudes.conj()), self.dims
-        )
+        """|psi><psi|, bit for bit as DensityOperator(np.outer(psi, psi^*))
+        holds it; the trace is the checked squared norm within round-off.
+        One np.outer call would buffer a quarter matrix more at 2**8."""
+        psi, d = self.amplitudes, self.dim
+        bra, mat, rows = psi.conj(), np.empty((d, d), complex), max(1, _LANES // d)
+        for i in range(0, d, rows):
+            np.outer(psi[i : i + rows], bra, out=mat[i : i + rows])
+        return DensityOperator._of(_hermitian_part(mat), self.dims)
 
 
-class DensityOperator(_Frozen):
+class DensityOperator(_State):
     """A Hermitian, unit-trace operator over declared tensor factors.
 
-    Hermiticity and trace are checked on every construction.  Positive
-    semidefiniteness is enforced wherever the spectrum is consumed (see
-    entropy clamping) and explicitly via validate_psd() at input
-    boundaries, so internal partial traces do not pay for a redundant
-    eigendecomposition.
+    The constructor checks finiteness, Hermiticity and trace and keeps the
+    exact Hermitian part; validate_psd(), which load_state calls, checks
+    positive semidefiniteness.  The results of to_density and partial_trace
+    derive from checked states and are not checked again.
     """
 
     __slots__ = ("matrix", "dims")
-    __eq__, __hash__ = object.__eq__, object.__hash__  # states compare by identity
 
     def __init__(self, matrix: np.ndarray, dims: tuple[int, ...]):
         dims = _as_dims(dims)
@@ -158,29 +194,7 @@ class DensityOperator(_Frozen):
         tr = complex(np.trace(mat))
         if not abs(tr - 1.0) <= TRACE_TOL:  # a trace summed to nan fails too
             raise ValidationError(f"trace = {tr.real:.6g} != 1 (tolerance {TRACE_TOL})")
-        # the exact Hermitian part (m + m^H) * 0.5, one pair of tiles at a
-        # time: deviations a partial trace would add up.  Each tile is summed
-        # as written; the conjugate of its partner would flip signed zeros.
-        # C-ordered temporaries keep numpy's ufunc buffers to one tile.
-        for i in range(0, d, _TILE):
-            for j in range(i, d, _TILE):
-                a, b = mat[i : i + _TILE, j : j + _TILE], mat[j : j + _TILE, i : i + _TILE]
-                upper, lower = np.conjugate(b.T, order="C"), np.conjugate(a.T, order="C")
-                upper += a
-                lower += b
-                np.multiply(upper, 0.5, out=a)
-                np.multiply(lower, 0.5, out=b)
-                del upper, lower  # freed before the next pair's are made
-        mat.setflags(write=False)
-        self._set(mat, dims)
-
-    @property
-    def num_factors(self) -> int:
-        return len(self.dims)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+        self._set(_hermitian_part(mat), dims)
 
     def validate_psd(self) -> None:
         evs = hermitian_eigenvalues(self.matrix)
@@ -209,7 +223,9 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
         m -= 1
     kept_dims = tuple(dims[i] for i in kept)
     d = math.prod(kept_dims)
-    return DensityOperator(t.reshape(d, d), kept_dims)
+    # entries (a, b) and (b, a) sum conjugate terms in the same order, so the result
+    # is exactly Hermitian as rho is, and its trace is rho's summed in another order
+    return DensityOperator._of(t.reshape(d, d), kept_dims)
 
 
 def hermitian_eig(m) -> np.ndarray:

@@ -59,7 +59,8 @@ def premeasure(state: PureState, setup: MeasurementSetup) -> PureState:
     P_b = outer(R[b]^*, R[b]) for R = basis_rotation(theta).  That is the
     unitary copy |b_theta>|0> -> |b_theta>|b>, applied without building
     the |0> pointers or a CNOT.  Pointers land after the existing
-    factors, in tap order.  The output is still a pure state.
+    factors, in tap order.  The output is still a pure state, of the
+    input's squared norm within round-off, so it is built unchecked.
     """
     n = state.num_factors
     for factor, _, label in setup.taps:
@@ -74,7 +75,7 @@ def premeasure(state: PureState, setup: MeasurementSetup) -> PureState:
         # tapped axis, and the b-th pointer slice is rot[b]^* x amp[b]; einsum, not BLAS
         amp = np.einsum("bi,i...->b...", rot, np.moveaxis(t, factor, 0))
         t = np.moveaxis(np.einsum("bi,b...->ib...", rot.conj(), amp), (0, 1), (factor, -1))
-    return PureState(t.reshape(-1), state.dims + (2,) * len(setup.taps))
+    return PureState._of(t.reshape(-1), state.dims + (2,) * len(setup.taps))
 
 
 def device_factors(post: PureState, setup: MeasurementSetup) -> dict[str, int]:

@@ -745,6 +745,97 @@ def test_output_that_cannot_be_written_exits_2_with_one_line(args, buffered):
     assert (res.returncode, res.stderr) == (2, "error: cannot write output: No space left on device\n")
 
 
+def _stream_gone(fd: int, how: str):
+    """A preexec_fn that closes fd, or leaves it open on the null device for
+    reading only, as a shell's 2>&- can when a launcher script lands on it."""
+    def gone():
+        if how == "closed":
+            os.close(fd)
+        else:
+            os.dup2(os.open(os.devnull, os.O_RDONLY), fd)
+    return gone
+
+
+def _run_with_stream_gone(fd, how, *args):
+    env = {k: v for k, v in os.environ.items() if k != "ENTROSCOPE_SEED"}
+    pipes = {"stdout": subprocess.PIPE} if fd == 2 else {"stderr": subprocess.PIPE}
+    return subprocess.run([sys.executable, "-m", "entroscope", *args], text=True, env=env,
+                          timeout=120, preexec_fn=_stream_gone(fd, how), **pipes)
+
+
+@pytest.mark.parametrize("how", ["closed", "read-only"])
+@pytest.mark.parametrize("args", [
+    ("scenario", "epr_pair", "--format", "json"),
+    ("scenario", "epr_pair", "--format", "table"),
+    ("--version",),
+])
+def test_a_stdout_that_is_gone_exits_2_with_one_line(args, how):
+    # a closed stdout exited 0 with nothing written, and --version sent its
+    # line to stderr instead
+    res = _run_with_stream_gone(1, how, *args)
+    assert (res.returncode, res.stderr) == (2, "error: cannot write output: Bad file descriptor\n")
+
+
+@pytest.mark.parametrize("how", ["closed", "read-only"])
+@pytest.mark.parametrize("args, code", [
+    (("scenario", "bogus"), 2),
+    (("audit", "--state"), 1),
+])
+def test_an_error_line_stderr_cannot_take_is_dropped(tmp_path, args, code, how):
+    # with stderr closed the error line went to stdout; left unwritable,
+    # printing it raised inside main's handler and the process exited 1
+    rho = DensityOperator(np.diag([0.5, 0.5 + 1.8e-10, -0.9e-10, -0.9e-10]).astype(complex), (2, 2))
+    (tmp_path / "rho.json").write_text(serialize_state(rho))
+    if args[-1] == "--state":
+        args += (str(tmp_path / "rho.json"),)
+    heard = run_cli(*args)
+    assert heard.returncode == code and heard.stderr.count("\n") == 1
+    res = _run_with_stream_gone(2, how, *args)
+    assert (res.returncode, res.stdout) == (code, "")
+
+
+@pytest.mark.parametrize("how", ["closed", "read-only"])
+def test_output_goes_out_with_stderr_gone(how):
+    res = _run_with_stream_gone(2, how, "scenario", "epr_pair", "--format", "json")
+    assert (res.returncode, res.stdout) == (0, run_cli("scenario", "epr_pair", "--format", "json").stdout)
+
+
+def _edge_trace_density(seed: int) -> dict:
+    """A 3-qubit diagonal density whose trace sits 0.9999e-12 above 1."""
+    p = np.random.default_rng(seed).random(8)
+    p = p / p.sum() * (1.0 + 0.9999e-12)
+    return {"kind": "density", "dims": [2, 2, 2],
+            "data": [[float(x), 0.0] for x in np.diag(p).reshape(-1)]}
+
+
+def _edge_norm_pure(seed: int) -> dict:
+    """A 4-qubit pure state whose squared norm sits 0.99999e-12 above 1."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=16) + 1j * rng.normal(size=16)
+    a = a / np.linalg.norm(a) * math.sqrt(1.0 + 0.99999e-12)
+    return {"kind": "pure", "dims": [2, 2, 2, 2], "data": [[float(z.real), float(z.imag)] for z in a]}
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("command", ["audit", "diagram"])
+@pytest.mark.parametrize("doc", [_edge_trace_density(2), _edge_norm_pure(3)], ids=["density", "pure"])
+def test_a_loaded_state_at_the_tolerance_edge_is_analysed(tmp_path, capsys, monkeypatch, doc, command, fmt):
+    # load_state accepts these files; a partial trace or to_density of
+    # them re-ran the constructor's checks and exited 2 with
+    # "trace = 1 != 1" on a reduced matrix the file never held
+    (tmp_path / "edge.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    args = [command, "--state", "edge.json", "--format", fmt]
+    if command == "diagram":
+        args += ["--partition", ";".join(f"F{i}={i}" for i in range(len(doc["dims"])))]
+    code, out, err = run_main(capsys, *args)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        numbers = re.findall(r"-?\d+\.\d+", out)
+        assert numbers and all(math.isfinite(float(v)) for v in numbers)
+    assert not re.search(r"nan|inf", out, re.IGNORECASE)
+
+
 @pytest.mark.parametrize("fmt", ["json", "table"])
 @pytest.mark.parametrize("spaced, joined", [
     (("scenario", "epr_measure", "--theta1", "-1e-3", "--theta2", "x", "--shots", "7"),

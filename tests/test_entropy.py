@@ -55,6 +55,18 @@ def test_clamp_spectrum_window():
         clamp_spectrum([1.0, -2e-10])
 
 
+def test_entropy_of_a_state_at_the_clamp_edge():
+    # eleven eigenvalues at -9.9e-11 pass validate_psd; clamped to 0 they
+    # lift the spectrum's sum 1.1e-9 past 1, beyond shannon_entropy's check
+    p = np.full(16, -9.9e-11)
+    p[11:] = (1.0 - p[:11].sum()) / 5
+    rho = DensityOperator(np.diag(p), (16,))
+    rho.validate_psd()
+    with pytest.raises(ValidationError, match="probabilities sum to"):
+        shannon_entropy(np.where(p < 0.0, 0.0, p))
+    assert von_neumann_entropy(rho) == pytest.approx(math.log2(5), abs=1e-8)
+
+
 def test_von_neumann_entropy_values():
     rho = epr_singlet().to_density()
     assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-12)

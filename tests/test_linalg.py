@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
-from helpers import random_density
+from helpers import random_density, random_pure
 from entroscope import (
     DensityOperator,
     NumericalFaultError,
@@ -139,6 +141,54 @@ def test_density_construction_holds_one_copy_of_the_matrix():
         tracemalloc.stop()
     assert rho.matrix.nbytes == m.nbytes
     assert peak <= 1.25 * m.nbytes, f"peaked at {peak / m.nbytes:.2f} matrices"
+
+
+def test_to_density_holds_one_copy_of_the_matrix():
+    # the outer product is made Hermitian in place, plus tiles; it was
+    # copied into the constructor before, 2.2 matrices at 2**8
+    psi = random_pure((2,) * 8, seed=6)
+    psi.to_density()
+    tracemalloc.start()
+    try:
+        rho = psi.to_density()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * rho.matrix.nbytes, f"peaked at {peak / rho.matrix.nbytes:.2f} matrices"
+
+
+@pytest.mark.parametrize("dims", [(2,) * 7, (3,) * 6, (2,) * 10])
+def test_to_density_is_the_constructors_matrix_bit_for_bit(dims):
+    # to_density forms the outer product in blocks of rows; across block
+    # edges, zero amplitudes and negative zeros it matches one np.outer call
+    rng = np.random.default_rng(len(dims))
+    psi = random_pure(dims, seed=len(dims)).amplitudes.copy()
+    psi[rng.random(psi.size) < 0.2] = 0.0
+    psi.imag[rng.random(psi.size) < 0.2] = -0.0
+    psi = PureState(psi / np.linalg.norm(psi), dims)
+    twin = DensityOperator(np.outer(psi.amplitudes, psi.amplitudes.conj()), dims)
+    assert psi.to_density().matrix.tobytes() == twin.matrix.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(dims=st.lists(st.integers(2, 3), min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1),
+       off=st.floats(-0.9e-12, 0.9e-12), pure=st.booleans(), data=st.data())
+def test_derived_states_hold_the_constructor_invariants(dims, seed, off, pure, data):
+    # to_density and partial_trace build their results without the
+    # constructor's checks, which run here as the oracle, on inputs whose
+    # trace or squared norm sits up to 0.9e-12 from 1
+    if pure:
+        psi = PureState(random_pure(dims, seed).amplitudes * math.sqrt(1.0 + off), dims)
+        rho = psi.to_density()
+        twin = DensityOperator(np.outer(psi.amplitudes, psi.amplitudes.conj()), dims)
+        assert rho.matrix.tobytes() == twin.matrix.tobytes() and not rho.matrix.flags.writeable
+    else:
+        rho = DensityOperator(random_density(dims, seed).matrix * (1.0 + off), dims)
+    keep = data.draw(st.sets(st.integers(0, len(dims) - 1), min_size=1))
+    m = partial_trace(rho, keep).matrix
+    assert np.array_equal(m, m.conj().T) and np.isfinite(m).all() and not m.flags.writeable
+    bound = rho.dim * np.finfo(float).eps + abs(np.trace(rho.matrix) - 1.0)
+    assert abs(np.trace(m) - 1.0) <= bound
 
 
 def test_density_psd_is_checked_on_demand():

@@ -256,6 +256,23 @@ def test_sample_records_deterministic_distribution():
     assert records.tolist() == [0] * 50
 
 
+@settings(max_examples=100, deadline=None)
+@given(dims=st.lists(st.integers(2, 3), min_size=1, max_size=4).filter(lambda d: 2 in d),
+       seed=st.integers(0, 2**32 - 1), off=st.floats(-0.9e-12, 0.9e-12), data=st.data())
+def test_premeasure_keeps_the_squared_norm(dims, seed, off, data):
+    # premeasure builds its state without the constructor's norm check:
+    # a unitary keeps the checked input's norm, up to 0.9e-12 from 1 here
+    qubits = [i for i, d in enumerate(dims) if d == 2]
+    taps = data.draw(st.lists(st.sampled_from(qubits), min_size=1, unique=True))
+    angles = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=len(taps), max_size=len(taps)))
+    psi = PureState(random_pure(dims, seed).amplitudes * math.sqrt(1.0 + off), dims)
+    setup = MeasurementSetup(tuple((f, a, f"A{i}") for i, (f, a) in enumerate(zip(taps, angles))))
+    post = premeasure(psi, setup)
+    norm2 = [float(np.sum(np.abs(s.amplitudes) ** 2)) for s in (psi, post)]
+    assert abs(norm2[1] - norm2[0]) <= 1e-14
+    assert np.isfinite(post.amplitudes).all() and not post.amplitudes.flags.writeable
+
+
 def test_sample_records_frequencies_converge():
     post = premeasure(epr_singlet(), parallel_setup())
     records = sample_records(post, parallel_setup(), shots=20000, seed=8)
