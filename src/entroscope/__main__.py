@@ -13,13 +13,20 @@ def run() -> int:
     no traceback.  The garbage collector is off while the modules load
     and their objects are then frozen, so neither the import nor the
     collection at exit walks the ~100k objects numpy and entroscope
-    create.  cli.main itself changes neither setting.
+    create.  cli.main itself changes neither setting.  A failed import,
+    numpy's included, ends in one stderr line and exit 2, as a MemoryError
+    past the reader does.
     """
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     gc.disable()
     try:
         from .cli import main
+    except MemoryError:
+        return _refuse("out of memory")
+    except ImportError as exc:
+        first = str(exc).partition("\n")[0]  # numpy's own message can run to many lines
+        return _refuse(f"cannot import {exc.name or 'a module'}: {first}")
     finally:
         gc.freeze()
         gc.enable()
@@ -30,6 +37,16 @@ def run() -> int:
     except OSError:  # reported by main; Python's flush at exit would fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
+
+
+def _refuse(message: str) -> int:
+    """Write `error: message` to stderr, or drop it when stderr cannot take it."""
+    try:
+        if sys.stderr is not None:
+            sys.stderr.write(f"error: {message}\n")
+    except OSError:
+        pass
+    return 2
 
 
 if __name__ == "__main__":

@@ -14,8 +14,10 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import _LANES, DensityOperator, PureState
 
-# Largest total dimension a state file may declare: every route to a diagram
-# builds the dense 2**12 x 2**12 density matrix (256 MB) at this size.
+# Largest total dimension a state file may declare: a density file's diagram
+# works on its dense 2**12 x 2**12 matrix (256 MB) at this size.  A pure
+# file's builds no such matrix, only Gram matrices of at most 2**6 on a side;
+# one cap still gates both kinds.
 MAX_DENSE_DIM = 2**12
 # The largest canonical density file at the cap: 54 bytes an entry at most,
 # "[-2.2250738585072014e-308, -2.2250738585072014e-308], ", plus the header.

@@ -16,7 +16,10 @@ from itertools import combinations
 import numpy as np
 
 from .errors import NumericalFaultError, ValidationError
-from .linalg import PSD_CLAMP, DensityOperator, PureState, _Frozen, _index, hermitian_eigenvalues, partial_trace
+from .linalg import (
+    PSD_CLAMP, DensityOperator, PureState, _Frozen, _hermitian_part, _index, hermitian_eigenvalues,
+    partial_trace,
+)
 
 PROB_SUM_TOL = 1e-9
 ATOM_RESIDUAL_TOL = 1e-9
@@ -146,18 +149,42 @@ def grouped_entropies(
 ) -> dict[Subset, float]:
     """joint_entropies for a partition that may cover only part of the state.
 
-    A pure state is turned into its density operator here, once.  Each
-    subset is traced straight from it, so uncovered factors are simply
-    never kept; party factor indices refer to the state's factors."""
+    Party factor indices refer to the state's factors, and factors no party
+    holds are traced out.  A density operator is traced down to each
+    subset.  A pure state never becomes one: each subset's spectrum is that
+    of _schmidt_gram's matrix, at most sqrt(dim) on a side, so no dim x dim
+    matrix is built.  Either way each subset costs one eigensolve."""
     n = state.num_factors
     covered = sorted(partition.all_factors)
     if covered[0] < 0 or covered[-1] >= n:
         raise ValidationError(f"partition references factors {covered}, state has {n}")
-    rho = state.to_density() if isinstance(state, PureState) else state
+    if isinstance(state, PureState):
+        def entropy_of(factors):  # von_neumann_entropy, on the Gram matrix
+            return _entropy_bits(clamp_spectrum(hermitian_eigenvalues(_schmidt_gram(state, factors))))
+    else:
+        def entropy_of(factors):
+            return von_neumann_entropy(partial_trace(state, factors))
     return {
-        subset: von_neumann_entropy(partial_trace(rho, partition.factors_of(subset)))
+        subset: entropy_of(partition.factors_of(subset))
         for subset in _canonical_subsets(partition.names)
     }
+
+
+def _schmidt_gram(psi: PureState, factors) -> np.ndarray:
+    """t t^H, where t holds psi's amplitudes with one row per basis state of
+    `factors` and one column per basis state of every other factor, or the
+    transpose when that has fewer rows.  By the Schmidt decomposition its
+    spectrum is the reduced state's on `factors`, zeros aside.  The product's
+    temporary holds rows * dim <= dim**1.5 entries; a BLAS product would page
+    GEMM into every process.  numpy's FMA complex multiply leaves t t^H off
+    Hermitian in the last bit, so its Hermitian part is kept, as
+    DensityOperator keeps its matrix's."""
+    front = sorted(factors)
+    rows = math.prod(psi.dims[i] for i in front)
+    order = front + [i for i in range(psi.num_factors) if i not in factors]
+    m = psi.amplitudes.reshape(psi.dims).transpose(order).reshape(rows, -1)
+    t = m if rows * rows <= psi.dim else m.T
+    return _hermitian_part((t[:, None, :] * t.conj()[None, :, :]).sum(axis=-1))
 
 
 def _party_order(joints: dict[Subset, float]) -> tuple[str, ...]:

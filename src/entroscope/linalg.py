@@ -31,7 +31,7 @@ class _Frozen:
     """An immutable value: __slots__ names the fields in constructor order,
     and __init__ stores them once through _set, which marks ndarray fields
     read-only.  Copy and pickle call the constructor again, so its checks
-    rerun."""
+    rerun; states are the exception (_State)."""
 
     __slots__ = ()
 
@@ -116,7 +116,9 @@ def _hermitian_part(mat: np.ndarray) -> np.ndarray:
 
 class _State(_Frozen):
     """A state: its array, then its dims; states compare by identity.  _of
-    builds one, unchecked and uncopied, from values derived from a checked state."""
+    builds one, unchecked and uncopied, from values derived from a checked
+    state.  Copy and pickle rebuild through _of too: a derived state at the
+    edge of a tolerance would fail the constructor it never went through."""
 
     __slots__ = ()
     __eq__, __hash__ = object.__eq__, object.__hash__
@@ -126,6 +128,9 @@ class _State(_Frozen):
         state = object.__new__(cls)
         state._set(*fields)
         return state
+
+    def __reduce__(self):
+        return self._of, self._fields()
 
     @property
     def num_factors(self) -> int:

@@ -20,9 +20,13 @@ projected copy of the state per pointer value), and the audit's worst
 slacks from every (A, B, C) triple of bitmasks (the package walks
 unordered (A, C) pairs per B), and state-file text from one json.dumps
 of a document with a [re, im] list per entry (the package dumps blocks
-of 4,096 rows and joins them), and a density operator's Hermitian part
+of 4,096 rows and joins them), a density operator's Hermitian part
 from one (m + m^H) * 0.5 (the package sums it one pair of tiles at a
-time).  Agreement between the two routes is
+time), and a pure state's joint entropies through its density matrix,
+traced down to each subset (the package takes the Gram matrix of the
+amplitudes on the smaller side of each cut).  reference_entropy is the
+referee for both float64 routes: 40 significant digits in mpmath, from
+the amplitudes as stored.  Agreement between the two routes is
 the point of the tests.  Purity, the schema-checking document parser and
 the seeded random states are test-only tools.
 """
@@ -32,12 +36,14 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, localcontext
-from itertools import product
+from itertools import combinations, product
 
+import mpmath
 import numpy as np
 
 from entroscope import ValidationError
-from entroscope.linalg import DensityOperator, PureState, _as_dims
+from entroscope.entropy import von_neumann_entropy
+from entroscope.linalg import DensityOperator, PureState, _as_dims, partial_trace
 
 
 JACOBI_OFF_TOL = 1e-13
@@ -107,6 +113,61 @@ def entropy_oracle(matrix) -> float:
     lam = eig_oracle(matrix)
     lam = lam[lam > 1e-14]
     return float(-(lam * np.log2(lam)).sum()) if lam.size else 0.0
+
+
+def dense_joint_entropies(state, partition) -> dict:
+    """grouped_entropies' joints through the density matrix: a pure state
+    becomes |psi><psi| once, then every subset is traced down from it."""
+    rho = state.to_density() if isinstance(state, PureState) else state
+    names = partition.names
+    return {
+        u: von_neumann_entropy(partial_trace(rho, partition.factors_of(u)))
+        for r in range(1, len(names) + 1) for u in combinations(names, r)
+    }
+
+
+REFERENCE_DPS = 40
+
+
+def reference_entropy(state, factors) -> mpmath.mpf:
+    """S(factors) of pure `state` in bits at REFERENCE_DPS digits.
+
+    The float64 amplitudes are read exactly and placed by explicit index
+    arithmetic in a matrix between the cut's smaller side and the rest,
+    whose Gram matrix, the reduced state on that side (the two sides of a
+    pure state share their nonzero spectrum), goes to mpmath's eighe."""
+    dims = state.dims
+    side = sorted(factors)
+    rest = [i for i in range(len(dims)) if i not in side]
+    if math.prod(dims[i] for i in side) > math.prod(dims[i] for i in rest):
+        side, rest = rest, side
+
+    def flat(multi, which):
+        k = 0
+        for i in which:
+            k = k * dims[i] + multi[i]
+        return k
+
+    with mpmath.workdps(REFERENCE_DPS):
+        m = mpmath.matrix(math.prod(dims[i] for i in side), math.prod(dims[i] for i in rest))
+        for k, z in enumerate(state.amplitudes):
+            multi = np.unravel_index(k, dims)
+            m[flat(multi, side), flat(multi, rest)] = mpmath.mpc(complex(z))
+        lam = mpmath.eighe(m * m.H, eigvals_only=True)
+        return -mpmath.fsum(x * mpmath.log(x, 2) for x in lam if x > 0)
+
+
+def assert_joints_match_reference(state, joints: dict, factors_of) -> None:
+    """Every joint entropy within its 9th-digit rounding margin of the
+    40-digit reference, so it prints the digits the reference does."""
+    far = []
+    for subset, value in joints.items():
+        ref = reference_entropy(state, factors_of(subset))
+        with mpmath.workdps(REFERENCE_DPS):
+            gap = float(abs(mpmath.mpf(value) - ref))
+        if not gap < rounding_margin(value):
+            far.append((subset, value, float(ref), gap))
+    assert not far, far
 
 
 def binary_entropy(p: float) -> float:

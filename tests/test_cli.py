@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from helpers import random_density
 from entroscope import (
-    DensityOperator, PureState, _pcg64, cli, entropy, epr_singlet, ghz, measurement, scenarios,
+    DensityOperator, _pcg64, cli, entropy, epr_singlet, ghz, measurement, scenarios,
 )
 from entroscope.cli import main
 from entroscope.measurement import MAX_SHOTS
@@ -504,18 +504,19 @@ def test_state_commands_load_and_check_the_file_once(tmp_path, capsys, monkeypat
     assert len(checks) == 1
 
 
-class DensityBuilt(Exception):
+class DenseWorkStarted(Exception):
     pass
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])
 def test_oversize_state_file_exits_2_before_any_dense_work(tmp_path, capsys, monkeypatch, fmt):
     # a 16-qubit pure file used to end in a MemoryError traceback from
-    # to_density; the gate reads only dims, so nothing large is allocated
-    def no_density(self):
-        raise DensityBuilt
+    # to_density; the gate reads only dims, so nothing large is allocated.
+    # A pure state's first allocation past the reader is its first Gram.
+    def no_gram(psi, factors):
+        raise DenseWorkStarted
 
-    monkeypatch.setattr(PureState, "to_density", no_density)
+    monkeypatch.setattr(entropy, "_schmidt_gram", no_gram)
     parsed = []  # every text json parses, whole or a chunk at a time
     raw_decode = json.JSONDecoder.raw_decode
     monkeypatch.setattr(json.JSONDecoder, "raw_decode",
@@ -527,7 +528,7 @@ def test_oversize_state_file_exits_2_before_any_dense_work(tmp_path, capsys, mon
         (tmp_path / f"q{qubits}.json").write_text(json.dumps(doc))
     assert 2**12 == MAX_DENSE_DIM
     for command in ("diagram", "audit"):
-        with pytest.raises(DensityBuilt):  # the limit itself passes the gate
+        with pytest.raises(DenseWorkStarted):  # the limit itself passes the gate
             main([command, "--state", "q12.json", "--partition", "A=0;B=1", "--format", fmt])
         capsys.readouterr()
         parsed.clear()

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from helpers import random_density, random_pure
@@ -25,7 +27,7 @@ from entroscope import (
 )
 from entroscope import entropy
 from entroscope.entropy import INEQ_SLACK
-from entroscope.linalg import partial_trace
+from entroscope.linalg import _check_hermitian, partial_trace
 
 # h(3/4) = 2 - (3/4) log2 3, evaluated independently
 H_THREE_QUARTERS = 0.8112781244591329
@@ -160,6 +162,28 @@ def test_grouped_entropies_traces_uncovered_factors(density):
     for subset, factors in keep.items():
         red = helpers.brute_partial_trace(rho, (2, 2, 2, 2), factors)
         assert grouped[subset] == pytest.approx(helpers.entropy_oracle(red), abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dims=st.lists(st.integers(2, 3), min_size=1, max_size=5), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_schmidt_route_matches_the_dense_route(dims, seed, data):
+    # each factor goes to one of up to 4 parties or to none, so partial
+    # partitions, uncovered factors between parties included, are drawn
+    psi = random_pure(dims, seed)
+    owner = data.draw(st.lists(st.integers(-1, 3), min_size=len(dims), max_size=len(dims))
+                      .filter(lambda o: max(o) >= 0))
+    part = PartitionSpec.of(**{f"P{k}": [f for f, o in enumerate(owner) if o == k]
+                               for k in sorted(set(owner) - {-1})})
+    grouped = grouped_entropies(psi, part)
+    dense = helpers.dense_joint_entropies(psi, part)
+    assert list(grouped) == list(dense)
+    assert all(abs(v - dense[k]) < 1e-12 for k, v in grouped.items())
+    for subset in grouped:
+        gram = entropy._schmidt_gram(psi, part.factors_of(subset))
+        assert gram.shape[0] ** 2 <= psi.dim
+        _check_hermitian(gram, "gram")  # hermitian_eig's check, as it runs
+        assert np.array_equal(gram, gram.conj().T)  # as kept
 
 
 def test_party_factors_must_be_integers():

@@ -40,6 +40,7 @@ import numpy as np
 import pytest
 
 import helpers
+from entroscope import entropy
 from entroscope.cli import main, parse_partition
 from entroscope.entropy import DiagramBundle, PartitionSpec
 from entroscope.linalg import PureState
@@ -254,6 +255,52 @@ def test_state_diagram_clears_rounding_margins(path, partition):
         if not abs(value - oracle) < helpers.rounding_margin(value)
     ]
     assert not too_far, too_far
+
+
+def _joints_only(argv) -> tuple:
+    """argv without the flags that leave every joint entropy as it is."""
+    out, skip = [], False
+    for arg in argv:
+        if skip:
+            skip = False
+        elif arg in ("--shots", "--seed", "--format"):
+            skip = True
+        else:
+            out.append(arg)
+    return tuple(out)
+
+
+# Every golden invocation whose joints are a pure state's: diagram and audit
+# on the pure files, and each scenario but chsh, which computes none.
+PURE_JOINT_CASES = list(dict.fromkeys(
+    _joints_only(argv) for argv in CASES.values()
+    if any("pure" in a for a in argv) or argv[:2] in (("scenario", "epr_pair"),
+                                                      ("scenario", "epr_measure"),
+                                                      ("scenario", "cat"))
+))
+
+
+@pytest.mark.parametrize("argv", PURE_JOINT_CASES, ids=[" ".join(a) for a in PURE_JOINT_CASES])
+def test_pure_joints_clear_rounding_margins_against_40_digits(argv, monkeypatch):
+    # Every joint the document is built from lies closer to its 40-digit
+    # value than to the nearest 9th-digit rounding boundary.
+    seen = []
+    grouped = entropy.grouped_entropies
+
+    def hook(state, partition):
+        joints = grouped(state, partition)
+        seen.append((state, partition, joints))
+        return joints
+
+    monkeypatch.setattr(entropy, "grouped_entropies", hook)
+    monkeypatch.delenv("ENTROSCOPE_SEED", raising=False)
+    monkeypatch.chdir(GOLDEN)
+    code, _, err = _run(argv)
+    assert code == 0, err
+    assert seen
+    for state, partition, joints in seen:
+        assert isinstance(state, PureState)
+        helpers.assert_joints_match_reference(state, joints, partition.factors_of)
 
 
 def _write() -> None:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 import tracemalloc
 
@@ -189,6 +191,20 @@ def test_derived_states_hold_the_constructor_invariants(dims, seed, off, pure, d
     assert np.array_equal(m, m.conj().T) and np.isfinite(m).all() and not m.flags.writeable
     bound = rho.dim * np.finfo(float).eps + abs(np.trace(rho.matrix) - 1.0)
     assert abs(np.trace(m) - 1.0) <= bound
+
+
+@pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_derived_states_at_the_tolerance_edge_survive_copy_and_pickle(round_trip):
+    # the reductions of a density whose trace sits 0.9999e-12 above 1: two
+    # of the six have a trace past 1 + 1e-12, which the constructor refuses
+    p = np.random.default_rng(2).random(8)
+    rho = DensityOperator(np.diag(p / p.sum() * (1.0 + 0.9999e-12)), (2, 2, 2))
+    for keep in ([0], [1], [2], [0, 1], [0, 2], [1, 2]):
+        red = partial_trace(rho, keep)
+        back = round_trip(red)
+        assert type(back) is DensityOperator and back.dims == red.dims
+        assert back.matrix.tobytes() == red.matrix.tobytes() and not back.matrix.flags.writeable
 
 
 def test_density_psd_is_checked_on_demand():

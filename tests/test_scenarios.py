@@ -446,13 +446,27 @@ def _pure_states_and_partitions():
         yield post, [full_partition(post, setup), device_partition(post, setup)]
 
 
-def test_diagram_bundle_gives_the_same_floats_for_a_pure_state_and_its_density():
+def test_diagram_bundle_of_a_pure_state_agrees_with_its_density():
+    # The Schmidt route against the dense one, kept in helpers as the
+    # oracle, within 1e-12 a joint; an atom or slack sums at most
+    # 2**(parties - 1) joints with signs.  Then against 40 digits.
     cases = 0
     for state, partitions in _pure_states_and_partitions():
         assert isinstance(state, PureState)
         for partition in partitions:
             bundle = scenarios.DiagramBundle.of(state, partition)
-            assert bundle == scenarios.DiagramBundle.of(state.to_density(), partition)
+            dense = scenarios.DiagramBundle.of(state.to_density(), partition)
+            assert dense.joints == helpers.dense_joint_entropies(state, partition)
+            assert bundle.factors == dense.factors and list(bundle.joints) == list(dense.joints)
+            assert all(abs(v - dense.joints[k]) < 1e-12 for k, v in bundle.joints.items())
+            tol = 2 ** (len(partition.names) - 1) * 1e-12
+            assert list(bundle.atoms) == list(dense.atoms)
+            assert all(abs(v - dense.atoms[k]) < tol for k, v in bundle.atoms.items())
+            assert bundle.audit.monotonicity_violated == dense.audit.monotonicity_violated
+            for name in ("subadditivity", "triangle", "strong_subadditivity"):
+                a, b = (getattr(x.audit, f"{name}_worst_slack") for x in (bundle, dense))
+                assert (a is None) == (b is None) and (a is None or abs(a - b) < tol)
+            helpers.assert_joints_match_reference(state, bundle.joints, partition.factors_of)
             cases += 1
     assert cases == 24
 

@@ -155,6 +155,28 @@ def test_run_leaves_the_collector_enabled():
     assert (res.stdout, res.stderr) == (f"entroscope {entroscope.__version__}\n", "0 True\n")
 
 
+@pytest.mark.parametrize("refusal, line", [
+    ("ImportError('numpy refused\\nby the test', name=name)", "error: cannot import numpy: numpy refused\n"),
+    ("MemoryError", "error: out of memory\n"),
+], ids=["ImportError", "MemoryError"])
+def test_a_failed_import_ends_in_one_line(refusal, line):
+    # a finder at the head of sys.meta_path refuses numpy, as a missing
+    # install or an address-space limit does: one line and exit 2, where
+    # the import in run() used to print a traceback and exit 1
+    code = (
+        "import runpy, sys\n"
+        "class Refuse:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'numpy':\n"
+        f"            raise {refusal}\n"
+        "sys.meta_path.insert(0, Refuse())\n"
+        "sys.argv = ['entroscope', 'scenario', 'epr_pair']\n"
+        "runpy.run_module('entroscope', run_name='__main__')\n"
+    )
+    res = _python_text("-c", code)
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", line)
+
+
 def test_console_script_runs_the_process_entry():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
