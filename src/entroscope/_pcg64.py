@@ -5,8 +5,10 @@ numpy.random.Generator(PCG64(SeedSequence(entropy, spawn_key=spawn_key)))
 .random(n), bit for bit, without importing numpy.random.  The seeding
 runs on Python ints.  The draw keeps _LANES consecutive 128-bit PCG
 states as (hi, lo) uint64 arrays and advances them all by one jump per
-block; array arithmetic wraps without a warning.  _LANES, the package's
-one block size, lives in linalg, which every command loads.
+block, in place through four scratch arrays of _LANES, so a draw's
+working set is six lane arrays and the block it yields; array arithmetic
+wraps without a warning.  _LANES, the package's one block size, lives in
+linalg, which every command loads.
 """
 
 from __future__ import annotations
@@ -58,41 +60,67 @@ def seed_state(entropy: int, spawn_key: tuple[int, ...] = ()) -> list[int]:
     return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
 
 
-def _affine(hi: np.ndarray, lo: np.ndarray, mult: int, add: int):
-    """(hi, lo) * mult + add mod 2**128, lane by lane."""
+def _affine(hi: np.ndarray, lo: np.ndarray, mult: int, add: int, scratch) -> None:
+    """(hi, lo) <- (hi, lo) * mult + add mod 2**128, lane by lane, in place;
+    scratch holds four arrays of the lanes' length."""
     m_lo, b0, b1 = mult & _M64, mult & _M32, mult >> 32 & _M32
-    a0, a1 = lo & _M32, lo >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
-    # high word of lo * m_lo, plus the cross terms that land above bit 64
-    top = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + lo * (mult >> 64) + hi * m_lo
-    low = lo * m_lo + (add & _M64)
-    return top + (add >> 64) + (low < (add & _M64)), low
+    a0, a1, mid, p = scratch
+    np.bitwise_and(lo, _M32, out=a0)
+    np.right_shift(lo, 32, out=a1)
+    # the high word: hi * m_lo + lo * m_hi, then the high word of lo * m_lo
+    # from the 32-bit partial products a_i * b_j, then add and its carry
+    hi *= m_lo
+    hi += np.multiply(lo, mult >> 64, out=p)
+    np.multiply(a0, b0, out=mid)
+    mid >>= 32
+    np.multiply(a0, b1, out=a0)
+    np.multiply(a1, b0, out=p)
+    hi += np.multiply(a1, b1, out=a1)
+    for cross in (a0, p):
+        hi += np.right_shift(cross, 32, out=a1)
+        mid += np.bitwise_and(cross, _M32, out=cross)
+    hi += np.right_shift(mid, 32, out=mid)
+    lo *= m_lo
+    lo += add & _M64
+    hi += np.less(lo, add & _M64, out=a1)
+    hi += add >> 64
 
 
-def _uniforms(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Each lane's XSL-RR output, as a uniform from its top 53 bits; its
-    temporaries are freed before the block reaches the caller."""
-    x, rot = hi ^ lo, hi >> 58
-    return (((x >> rot) | (x << ((64 - rot) & 63))) >> 11) * 2.0**-53
+def _uniforms(hi: np.ndarray, lo: np.ndarray, scratch) -> np.ndarray:
+    """Each lane's XSL-RR output, as a uniform from its top 53 bits, in a
+    fresh array; the bit work runs in three of the four scratch arrays."""
+    x, rot, out, _ = scratch
+    np.bitwise_xor(hi, lo, out=x)
+    np.right_shift(hi, 58, out=rot)
+    np.right_shift(x, rot, out=out)
+    np.subtract(64, rot, out=rot)
+    rot &= 63
+    out |= np.left_shift(x, rot, out=x)
+    out >>= 11
+    return out * 2.0**-53
 
 
 def uniforms(entropy: int, n: int, spawn_key: tuple[int, ...] = ()):
     """The first n uniforms of Generator(PCG64(SeedSequence(entropy,
-    spawn_key))).random, in [0, 1), as blocks of _LANES, the last cut short."""
+    spawn_key))).random, in [0, 1), as blocks of _LANES, the last cut short.
+    Each block is a new array; the lanes and four scratch arrays of _LANES
+    are allocated once and stepped in place."""
     s0, s1, s2, s3 = seed_state(entropy, spawn_key)
     inc = (s2 << 65 | s3 << 1 | 1) & _M128
     # PCG's srandom (step from 0, add the initial state, step again),
     # then the step that precedes each output
     first = (((inc + (s0 << 64 | s1)) * _MULT + inc) * _MULT + inc) & _M128
-    # lane k holds the state k + 1 steps on; each doubling appends the
-    # lanes jumped by their count, and (mult, add) becomes the jump by 2x
-    hi, lo = np.array([first >> 64], np.uint64), np.array([first & _M64], np.uint64)
-    mult, add = _MULT, inc
-    while len(hi) < _LANES:
-        h, l = _affine(hi, lo, mult, add)
-        hi, lo = np.concatenate([hi, h]), np.concatenate([lo, l])
-        mult, add = mult * mult & _M128, (mult * add + add) & _M128
+    # lane k holds the state k + 1 steps on; each doubling copies the first
+    # k lanes forward and jumps the copies by k, and (mult, add) becomes
+    # the jump by 2k.  _LANES is a power of two.
+    hi, lo = np.empty(_LANES, np.uint64), np.empty(_LANES, np.uint64)
+    scratch = np.empty((4, _LANES), np.uint64)
+    hi[0], lo[0] = first >> 64, first & _M64
+    mult, add, k = _MULT, inc, 1
+    while k < _LANES:
+        hi[k : 2 * k], lo[k : 2 * k] = hi[:k], lo[:k]
+        _affine(hi[k : 2 * k], lo[k : 2 * k], mult, add, scratch[:, :k])
+        mult, add, k = mult * mult & _M128, (mult * add + add) & _M128, 2 * k
     for start in range(0, n, _LANES):
-        yield _uniforms(hi, lo)[: n - start]
-        hi, lo = _affine(hi, lo, mult, add)
+        yield _uniforms(hi, lo, scratch)[: n - start]
+        _affine(hi, lo, mult, add, scratch)

@@ -1,9 +1,11 @@
 """The state-file format, its limits, serialize_state and the reader behind
 report.load_state.  The layout serialize_state writes, {"kind", "dims",
-"data": [[re, im], ...]} and a newline, is read without a Python object per
-entry: the header goes through json.loads alone, then the data a slice at a
-time.  Imports nothing from report; scenario and chsh never compile it."""
+"data": [[re, im], ...]} and a newline, is read from the file's bytes without
+a Python object per entry: the header goes through json.loads alone, then
+the data a slice at a time, so no str of the whole file is made.  Imports
+nothing from report; scenario and chsh never compile it."""
 
+import codecs
 import json
 import math
 from pathlib import Path
@@ -22,9 +24,10 @@ MAX_DENSE_DIM = 2**12
 # The largest canonical density file at the cap: 54 bytes an entry at most,
 # "[-2.2250738585072014e-308, -2.2250738585072014e-308], ", plus the header.
 MAX_BYTES = 54 * MAX_DENSE_DIM**2 + 2**10
-_HEAD, _SEP = ', "data": [[', "], ["
-# Data text per json.loads call, about 350 entries: a chunk's Python objects
-# stay a small, fixed size however large the file is.
+_HEAD, _SEP = b', "data": [[', b"], ["
+# Data text per json.loads call, about 350 entries, and bytes per UTF-8
+# check: a chunk's Python objects stay a small, fixed size however large
+# the file is.
 _CHUNK = 2**14
 _decode = json.JSONDecoder(parse_int=str).decode  # an int entry makes a str array
 
@@ -48,16 +51,18 @@ def _header(p: Path, doc) -> tuple[str, list, int]:
     return kind, dims, d if kind == "pure" else d * d
 
 
-def read_canonical(raw: str, p: Path):
-    """(kind, dims, complex entries) of text in the canonical layout, or None
-    for any other text, a key after the data (it may override the header) or
-    any entry but a pair of JSON floats.  _header, which may raise, runs first."""
+def read_canonical(raw: bytes, p: Path):
+    """(kind, dims, complex entries) of UTF-8 text in the canonical layout, or
+    None for any other text, a key after the data (it may override the header)
+    or any entry but a pair of JSON floats.  _header, which may raise, runs
+    first.  Each slice is decoded before json reads it, so json never guesses
+    an encoding."""
     start = raw.find(_HEAD)
-    stop = len(raw) - raw.endswith("\n") - 3
-    if start < 0 or not raw.startswith("]]}", stop) or raw.find('"', start + len(_HEAD), stop) >= 0:
+    stop = len(raw) - raw.endswith(b"\n") - 3
+    if start < 0 or not raw.startswith(b"]]}", stop) or raw.find(b'"', start + len(_HEAD), stop) >= 0:
         return None
-    try:
-        head = json.loads(raw[:start] + "}")
+    try:  # a UnicodeDecodeError is a ValueError
+        head = json.loads(raw[:start].decode() + "}")
     except (ValueError, RecursionError):
         return None
     if not head:  # '{, "data": ...' is not JSON
@@ -70,8 +75,8 @@ def read_canonical(raw: str, p: Path):
     while pos < stop:
         cut = raw.find(_SEP, pos + _CHUNK, stop)
         cut = stop if cut < 0 else cut
-        text = "[[" + raw[pos:cut] + "]]"
         try:
+            text = "[[" + raw[pos:cut].decode() + "]]"
             rows = np.array(_decode(text))
         except (ValueError, RecursionError):
             return None
@@ -108,9 +113,24 @@ def _read_whole(p: Path, raw: str) -> tuple[str, list, np.ndarray]:
     return kind, dims, values
 
 
+def _check_utf8(data) -> None:
+    """Raise the UnicodeDecodeError of data's first invalid byte, its offsets
+    counted from data's start.  Decodes _CHUNK bytes at a time (4 at least,
+    the longest UTF-8 sequence) and keeps none of the text."""
+    view, pos, step = memoryview(data), 0, max(_CHUNK, 4)
+    while pos < len(data):
+        try:
+            pos += codecs.utf_8_decode(view[pos : pos + step], "strict", pos + step >= len(data))[1]
+        except UnicodeDecodeError as exc:
+            exc.start, exc.end = exc.start + pos, exc.end + pos
+            raise
+
+
 def read_state(path) -> tuple[str, list, np.ndarray]:
-    """Kind, dims and complex entries of a state file; the file's text is
-    dropped on return.  Every failure is one ValidationError line."""
+    """Kind, dims and complex entries of a state file; the file's bytes are
+    dropped on return.  A canonical file is parsed from its bytes alone;
+    another layout is decoded whole for json.loads.  Every failure is one
+    ValidationError line."""
     p = Path(path)
     too_large = ValidationError(f"{p}: file size is over the limit of {MAX_BYTES} bytes")
     try:
@@ -125,11 +145,10 @@ def read_state(path) -> tuple[str, list, np.ndarray]:
                 data += chunk
         if len(data) > MAX_BYTES:
             raise too_large
-        raw = data.decode("utf-8")  # one call: error offsets count from the file's start
-        del data
-        if "\r" in raw:  # the newlines text mode reads as "\n"
-            raw = raw.replace("\r\n", "\n").replace("\r", "\n")
-        return read_canonical(raw, p) or _read_whole(p, raw)
+        _check_utf8(data)
+        if b"\r" in data:  # the newlines text mode reads as "\n"
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        return read_canonical(data, p) or _read_whole(p, data.decode())
     except OSError as exc:
         raise ValidationError(f"{p}: cannot read: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -237,14 +237,23 @@ def hermitian_eig(m) -> np.ndarray:
     """Eigenvalues of a complex Hermitian matrix by LAPACK (numpy), ascending.
 
     LAPACK reads one triangle only, so the input is checked here first:
-    square and nonempty, finite, and Hermitian within HERMITIAN_TOL.
+    square and nonempty, finite, and Hermitian within HERMITIAN_TOL.  A
+    matrix whose imaginary part is all zero, -0.0 included, is real
+    symmetric and goes to the real solver (dsyevd) as its real part; the
+    paper's states, their premeasurements in the x-z plane, their reduced
+    states and their Schmidt Gram matrices are all real.  A process that
+    takes only such spectra never pages in the complex solver (zheevd).
+    A 1 x 1 matrix, such as the Schmidt Gram of a whole pure state, is its
+    own spectrum: both solvers return its real entry as it is.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise ValidationError(f"expected a nonempty square matrix, got shape {a.shape}")
     _check_hermitian(a, "matrix")
+    if len(a) == 1:
+        return a.real.reshape(1).copy()
     try:
-        return np.linalg.eigvalsh(a)
+        return np.linalg.eigvalsh(a if a.imag.any() else a.real)
     except np.linalg.LinAlgError as exc:
         raise NumericalFaultError(f"eigensolver failed: {exc}") from exc
 

@@ -31,6 +31,7 @@ rounding margin, i.e. when a printed digit could have flipped.
 import json
 import os
 import re
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -301,6 +302,61 @@ def test_pure_joints_clear_rounding_margins_against_40_digits(argv, monkeypatch)
     for state, partition, joints in seen:
         assert isinstance(state, PureState)
         helpers.assert_joints_match_reference(state, joints, partition.factors_of)
+
+
+@pytest.mark.parametrize("name, dtype", [
+    ("scenario_epr_pair.json", np.float64),
+    ("scenario_epr_measure_oblique.json", np.float64),
+    ("scenario_cat.json", np.float64),
+    ("diagram_pure6.json", np.complex128),
+    ("audit_density6.json", np.complex128),
+])
+def test_real_states_take_the_real_eigensolver(name, dtype, monkeypatch):
+    # The paper's states and premeasurements in the x-z plane are real, so
+    # every spectrum a scenario takes is of a real matrix, and only the real
+    # LAPACK solver runs; the seeded state files are complex throughout.
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        seen.append(a.dtype)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    monkeypatch.delenv("ENTROSCOPE_SEED", raising=False)
+    monkeypatch.chdir(GOLDEN)
+    code, _, err = _run(CASES[name])
+    assert code == 0, err
+    assert seen and set(seen) == {np.dtype(dtype)}
+
+
+# One command per golden family, each the largest of its kind.
+LADDER_CASES = ["scenario_epr_measure_oblique.json", "scenario_cat.json", "chsh_scan_large.json",
+                "diagram_pure6.json", "audit_density6.json"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize("megabytes", [140, 200, 400])
+@pytest.mark.parametrize("name", LADDER_CASES)
+def test_golden_stdout_or_one_line_under_an_address_space_cap(name, megabytes):
+    # The cap is set in the child only.  Each run ends as it does with no
+    # cap, or in one stderr line and exit 2; below 140 MB OpenBLAS can fail
+    # its own allocation, print its own line and exit 1 (see the README).
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (megabytes * 2**20, megabytes * 2**20))
+
+    env = {k: v for k, v in os.environ.items() if k != "ENTROSCOPE_SEED"}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    src = str(Path(entropy.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-m", "entroscope", *CASES[name]], cwd=GOLDEN, env=env,
+                         capture_output=True, text=True, timeout=120, preexec_fn=cap)
+    if res.returncode == 0:
+        assert (res.stdout, res.stderr) == ((GOLDEN / "out" / f"{name}.txt").read_text(), "")
+    else:
+        assert (res.returncode, res.stdout, res.stderr.count("\n")) == (2, "", 1), res.stderr
 
 
 def _write() -> None:

@@ -3,6 +3,7 @@ import math
 import pickle
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -338,6 +339,55 @@ def test_eig_rejects_non_hermitian():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValidationError, match="square"):
         hermitian_eig(np.zeros((2, 3)))
+
+
+def _stored_as_complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    m = np.empty(real.shape, complex)
+    m.real, m.imag = real, imag
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), scale=st.integers(-8, 8))
+def test_real_symmetric_matrices_take_the_real_solver(n, seed, scale):
+    # Imaginary parts of +0.0 and -0.0 count as zero, and the real solver
+    # (dsyevd) runs on the real part; a 1 x 1 matrix needs no solver.  Both
+    # solvers are backward stable, so their spectra differ by at most a
+    # small multiple of n eps ||m||.
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((n, n)) * 10.0**scale
+    r += r.T
+    m = _stored_as_complex(r, np.where(rng.random((n, n)) < 0.5, -0.0, 0.0))
+    calls = []
+
+    def spy(a):
+        calls.append(a.dtype)
+        return eigvalsh(a)
+
+    eigvalsh = np.linalg.eigvalsh
+    with mock.patch.object(np.linalg, "eigvalsh", spy):
+        w = hermitian_eig(m)
+    assert calls == ([] if n == 1 else [np.float64]) and w.dtype == np.float64
+    bound = 16 * n * np.finfo(float).eps * np.linalg.norm(r)
+    assert np.max(np.abs(w - eigvalsh(m))) <= bound
+    # one nonzero imaginary entry, however small, keeps the complex
+    # solver's result bit for bit, and a 1 x 1 matrix gives LAPACK's
+    i, j = rng.integers(n, size=2)
+    tilted = m.copy()
+    tilted[i, j] += 5e-324j
+    if i != j:
+        tilted[j, i] = np.conj(tilted[i, j])
+    for a in (tilted, m[:1, :1]):
+        assert np.array_equal(hermitian_eig(a).view(np.uint64), eigvalsh(a).view(np.uint64))
+    # and the checks still run before either solver
+    if n > 1:
+        skewed = m.copy()
+        skewed[0, 1] += 1e-9 * max(1.0, np.abs(r).max())
+        with pytest.raises(ValidationError, match="hermitian check failed"):
+            hermitian_eig(skewed)
+    m[i, j] = math.nan
+    with pytest.raises(ValidationError, match="matrix has NaN or infinite"):
+        hermitian_eig(m)
 
 
 def test_eig_rejects_an_empty_matrix():

@@ -233,7 +233,7 @@ def _both_paths(raw: str, chunk: int):
     """What the chunked reader and the whole-document path make of one text."""
     p = Path("state.json")
     with mock.patch.object(_statefile, "_CHUNK", chunk):
-        chunked = _statefile.read_canonical(raw, p)
+        chunked = _statefile.read_canonical(raw.encode(), p)
     return chunked, _read_whole(p, raw)
 
 
@@ -368,7 +368,7 @@ def test_chunked_reader_takes_float_pairs_in_the_canonical_layout_only(name):
     p = Path("state.json")
     with mock.patch.object(_statefile, "_CHUNK", 30):
         try:
-            chunked = _statefile.read_canonical(PARITY_CASES[name], p)
+            chunked = _statefile.read_canonical(PARITY_CASES[name].encode(), p)
         except ValidationError:  # refused on the header, before the data
             chunked = True
     assert (chunked is not None) == (name in ACCEPTED)
@@ -406,6 +406,43 @@ def test_load_state_holds_no_python_object_per_entry(tmp_path):
     finally:
         tracemalloc.stop()
     bound = 2 * p.stat().st_size + 2 * 16 * entries + 2**19
+    assert peak <= bound, f"peaked at {peak} bytes, bound {bound}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.lists(st.text(max_size=6).map(str.encode) | st.binary(max_size=3), max_size=12).map(b"".join),
+       chunk=st.sampled_from([1, 2, 3, 5, 8]))
+def test_the_utf8_check_in_slices_finds_what_one_decode_finds(data, chunk):
+    # slices cut multi-byte characters and invalid sequences anywhere; the
+    # first error's reason and its offset from the start are one decode's
+    def failure(check):
+        try:
+            check()
+        except UnicodeDecodeError as exc:
+            return exc.reason, exc.start
+        return None
+
+    with mock.patch.object(_statefile, "_CHUNK", chunk):
+        got = failure(lambda: _statefile._check_utf8(data))
+    assert got == failure(lambda: data.decode("utf-8"))
+
+
+def test_load_state_holds_the_file_once(tmp_path):
+    # The bound above, with the text counted once: the canonical reader
+    # checks UTF-8 and parses a slice at a time from the file's bytes, and
+    # never makes a str of the whole file.  Decoding the bytes whole peaked
+    # at 2.0 times the text on this file; the bytes route at 1.35.
+    p = tmp_path / "rho8.json"
+    p.write_text(serialize_state(random_density((2,) * 8, seed=11)))
+    entries = 2**16
+    load_state(p)
+    tracemalloc.start()
+    try:
+        load_state(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = p.stat().st_size + 2 * 16 * entries + 2**19
     assert peak <= bound, f"peaked at {peak} bytes, bound {bound}"
 
 

@@ -112,8 +112,9 @@ def test_values_survive_copy_and_pickle(value, fields, round_trip):
 @pytest.mark.parametrize("round_trip", [copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
                          ids=["deepcopy", "pickle"])
 def test_restored_states_keep_read_only_buffers(round_trip):
-    # a restored state is built by its constructor again; a bare copy of
-    # the fields would hold a writeable array
+    # a restored state is rebuilt through _State._of, which stores its
+    # fields through _set and marks them read-only; a bare copy of the
+    # fields would hold a writeable array
     pure = PureState(_BELL, (2, 2))
     assert not round_trip(pure).amplitudes.flags.writeable
     assert not round_trip(pure.to_density()).matrix.flags.writeable
