@@ -5,6 +5,8 @@ import os
 import signal
 import sys
 
+from .errors import _fail
+
 
 def run() -> int:
     """Run the CLI as its own process and return the exit code.
@@ -23,10 +25,13 @@ def run() -> int:
     try:
         from .cli import main
     except MemoryError:
-        return _refuse("out of memory")
+        return _fail("error: out of memory", 2)
     except ImportError as exc:
-        first = str(exc).partition("\n")[0]  # numpy's own message can run to many lines
-        return _refuse(f"cannot import {exc.name or 'a module'}: {first}")
+        # numpy's message opens with blank lines; what failed (a shared
+        # object that could not be mapped, say) is its __cause__
+        cause = exc.__cause__ or exc
+        reason = next((line for line in str(cause).splitlines() if line.strip()), type(cause).__name__)
+        return _fail(f"error: cannot import {exc.name or 'a module'}: {reason}", 2)
     finally:
         gc.freeze()
         gc.enable()
@@ -37,16 +42,6 @@ def run() -> int:
     except OSError:  # reported by main; Python's flush at exit would fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
-
-
-def _refuse(message: str) -> int:
-    """Write `error: message` to stderr, or drop it when stderr cannot take it."""
-    try:
-        if sys.stderr is not None:
-            sys.stderr.write(f"error: {message}\n")
-    except OSError:
-        pass
-    return 2
 
 
 if __name__ == "__main__":

@@ -10,14 +10,13 @@ message stderr cannot take is dropped, and the exit code stands.
 from __future__ import annotations
 
 import argparse
-import errno
 import math
 import os
 import sys
 
 from . import __version__
 from .entropy import MAX_PARTIES, DiagramBundle, PartitionSpec
-from .errors import NumericalFaultError, ValidationError
+from .errors import NumericalFaultError, ValidationError, _fail, _write
 from .report import (
     CAT_GROUPINGS,
     SCENARIO_IDS,
@@ -174,28 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _write(text: str, stream) -> None:
-    """Write text to stream and flush it, so a full disk is main's one error
-    line, not a traceback at exit.  Python sets a stream to None when its
-    descriptor was closed at start; that is a failed write too."""
-    if stream is None:
-        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-    stream.write(text)
-    stream.flush()
-
-
 def _emit_doc(doc: dict, fmt: str) -> None:
     _write((serialize_document(doc) if fmt == "json" else render_report_table(doc)) + "\n", sys.stdout)
-
-
-def _fail(line: str, code: int) -> int:
-    """Print line on stderr and return code.  A line stderr cannot take is
-    dropped: it never goes to stdout, and the code stays what it was."""
-    try:
-        _write(line + "\n", sys.stderr)
-    except OSError:
-        pass
-    return code
 
 
 def _cmd_scenario(args) -> int:

@@ -95,13 +95,11 @@ def device_partition(post: PureState, setup: MeasurementSetup) -> PartitionSpec:
 
 def full_partition(post: PureState, setup: MeasurementSetup) -> PartitionSpec:
     """The system factors as one party "Q" plus one party per device."""
-    devs = device_factors(post, setup)
-    if "Q" in devs:
+    if "Q" in setup.device_labels:
         raise ValidationError("system label 'Q' collides with a device label")
-    base = post.num_factors - len(setup.taps)
-    parties = [("Q", frozenset(range(base)))]
-    parties += [(label, frozenset({f})) for label, f in devs.items()]
-    return PartitionSpec(tuple(parties))
+    devices = device_partition(post, setup)
+    system = frozenset(range(post.num_factors)) - devices.all_factors
+    return PartitionSpec((("Q", system),) + devices.parties)
 
 
 def device_joints(post: PureState, setup: MeasurementSetup) -> dict[tuple[str, ...], float]:

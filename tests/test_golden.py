@@ -336,12 +336,13 @@ LADDER_CASES = ["scenario_epr_measure_oblique.json", "scenario_cat.json", "chsh_
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
-@pytest.mark.parametrize("megabytes", [140, 200, 400])
+@pytest.mark.parametrize("megabytes", [55, 140, 200, 400])
 @pytest.mark.parametrize("name", LADDER_CASES)
 def test_golden_stdout_or_one_line_under_an_address_space_cap(name, megabytes):
     # The cap is set in the child only.  Each run ends as it does with no
     # cap, or in one stderr line and exit 2; below 140 MB OpenBLAS can fail
     # its own allocation, print its own line and exit 1 (see the README).
+    # At 55 MB numpy's own import fails first, and the line names why.
     import resource
 
     def cap():
@@ -357,6 +358,8 @@ def test_golden_stdout_or_one_line_under_an_address_space_cap(name, megabytes):
         assert (res.stdout, res.stderr) == ((GOLDEN / "out" / f"{name}.txt").read_text(), "")
     else:
         assert (res.returncode, res.stdout, res.stderr.count("\n")) == (2, "", 1), res.stderr
+        if res.stderr.startswith("error: cannot import "):
+            assert re.fullmatch(r"error: cannot import (a module|[\w.]+): \S.*\n", res.stderr), res.stderr
 
 
 def _write() -> None:

@@ -168,6 +168,16 @@ def test_full_partition_label_collision():
         full_partition(post, setup)
 
 
+def test_full_partition_is_the_system_then_one_party_per_pointer():
+    # the pointers follow the system factors in tap order, the first tap's
+    # label first, whatever the tapped factors' order
+    setup = MeasurementSetup.of((1, 0.3, "B"), (0, 1.1, "A"))
+    post = premeasure(epr_singlet(), setup)
+    assert full_partition(post, setup) == PartitionSpec(
+        (("Q", frozenset({0, 1})), ("B", frozenset({2})), ("A", frozenset({3})))
+    )
+
+
 def test_outcome_probabilities_parallel():
     post = premeasure(epr_singlet(), parallel_setup())
     p = outcome_probabilities(post, parallel_setup())

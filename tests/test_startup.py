@@ -119,6 +119,24 @@ def test_no_library_module_calls_a_blas_product():
     assert uses == []
 
 
+def test_only_errors_writes_to_stderr():
+    # errors._fail is the one writer of failure lines: it flushes, and
+    # drops a line stderr cannot take with the exit code standing
+    uses = []
+    for path in sorted((SRC / "entroscope").glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            uses += [f"{path.name}:{node.lineno}" for n in names if n == "sys.stderr"]
+    assert uses == []
+
+
 def test_the_state_file_reader_loads_without_report():
     # the state-file format lives in _statefile alone: it imports nothing
     # from report, which imports it only inside load_state
@@ -157,12 +175,16 @@ def test_run_leaves_the_collector_enabled():
 
 @pytest.mark.parametrize("refusal, line", [
     ("ImportError('numpy refused\\nby the test', name=name)", "error: cannot import numpy: numpy refused\n"),
+    ("ImportError('\\n\\nIMPORTANT: ...') from ImportError('libfoo.so: failed to map segment from shared object')",
+     "error: cannot import a module: libfoo.so: failed to map segment from shared object\n"),
     ("MemoryError", "error: out of memory\n"),
-], ids=["ImportError", "MemoryError"])
+], ids=["ImportError", "chained-ImportError", "MemoryError"])
 def test_a_failed_import_ends_in_one_line(refusal, line):
     # a finder at the head of sys.meta_path refuses numpy, as a missing
     # install or an address-space limit does: one line and exit 2, where
-    # the import in run() used to print a traceback and exit 1
+    # the import in run() used to print a traceback and exit 1.  numpy's
+    # own message opens with blank lines, so the line takes the first
+    # non-empty line of the cause it was raised from
     code = (
         "import runpy, sys\n"
         "class Refuse:\n"
